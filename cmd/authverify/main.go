@@ -32,309 +32,79 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"authpoint/internal/campaign"
+	"authpoint/internal/campaign/cli"
 	"authpoint/internal/contract"
-	"authpoint/internal/diffcheck"
-	"authpoint/internal/obs"
 	"authpoint/internal/policy"
-	"authpoint/internal/prof"
-	"authpoint/internal/report"
-	"authpoint/internal/telemetry"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "authverify: "+format+"\n", args...)
-	os.Exit(2)
-}
-
 func main() {
-	var (
-		seedsFlag = flag.String("seeds", "1:100", "inclusive seed range lo:hi")
-		polFlag   = flag.String("policies", "full", "policy set: full (95-point lattice), lattice, ci, pac, or comma-separated names")
-		mode      = flag.String("mode", "pair", "pair (seed i under policies[i mod n]) or cross (every seed under every policy)")
-		kernels   = flag.Bool("kernels", true, "also check the attack-kernel catalog across the lattice")
-		minimize  = flag.Bool("minimize", true, "shrink unsound programs to minimal reproducers before recording")
-		outDir    = flag.String("out", "", "directory to write .leak files for findings (none if empty)")
-		replay    = flag.Bool("replay", false, "replay .leak files given as arguments instead of sweeping")
-		parallel  = flag.Int("parallel", 0, "worker pool size (0 = NumCPU)")
-		budget    = flag.Duration("budget", 0, "wall-clock bound for the seed sweep (0 = none); cells not reached are skipped, not failed")
-		verbose   = flag.Bool("v", false, "print one line per cell")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file before exit")
-		metrics   = flag.Bool("metrics", false, "attach an observability hub to every timed run; print the merged campaign metrics (and write metrics.json under -out)")
-		teleOut   = flag.String("telemetry", "", "stream a JSONL run ledger (one record per cell) to this path")
-		progress  = flag.Bool("progress", false, "print live progress/ETA heartbeats to stderr")
-		cacheDir  = flag.String("cache", "", "content-addressed result cache directory: checks hit the cache instead of simulating when the (program, policy, options) cell was already checked")
-		resumeAt  = flag.String("resume", "", "resume from a prior run's telemetry ledger: cells it records as done are not re-run (prior findings are regenerated through the cache)")
-	)
-	flag.Parse()
+	kernels := flag.Bool("kernels", true, "also check the attack-kernel catalog across the lattice")
+	cli.Main(cli.Tool[contract.Result]{
+		Name:         "authverify",
+		Policies:     "full",
+		Ext:          ".leak",
+		ReplayFlag:   "replay",
+		Verb:         "sweeping",
+		MinimizeHelp: "shrink unsound programs to minimal reproducers before recording",
+		BudgetHelp:   "wall-clock bound for the seed sweep (0 = none); cells not reached are skipped, not failed",
+		Verdicts: []string{string(contract.VerdictClean), string(contract.VerdictImprecise),
+			string(contract.VerdictLicensed), string(contract.VerdictUnsound), string(contract.VerdictError)},
 
-	if *replay {
-		os.Exit(replayFiles(flag.Args(), *verbose))
-	}
-	if flag.NArg() > 0 {
-		fatalf("unexpected arguments %q (use -replay to replay files)", flag.Args())
-	}
-
-	seeds, err := diffcheck.ParseSeedRange(*seedsFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	pols, err := policy.ParseSet(*polFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	ctx := context.Background()
-	if *budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *budget)
-		defer cancel()
-	}
-
-	var store *campaign.Store
-	if *cacheDir != "" {
-		if store, err = campaign.Open(*cacheDir); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	var done map[campaign.CellID]string
-	if *resumeAt != "" {
-		if done, err = campaign.LoadCompleted(*resumeAt); err != nil {
-			fatalf("resume: %v", err)
-		}
-	}
-
-	stopProf, err := prof.Start(*cpuprof)
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	var so *diffcheck.SweepObs
-	if *metrics || *teleOut != "" || *progress {
-		so = &diffcheck.SweepObs{CollectMetrics: *metrics}
-		if *teleOut != "" {
-			l, err := telemetry.Create(*teleOut, telemetry.NewHeader("authverify", *parallel))
+		Check: func(store *campaign.Store) campaign.Check[contract.Result] {
+			return contract.Campaign{Options: contract.Options{Cache: store}}
+		},
+		CellLine: func(r contract.Result) string {
+			return fmt.Sprintf("seed %-6d %-45v %s", r.Seed, r.Policy, r.Verdict)
+		},
+		Finding: func(f campaign.Finding[contract.Result]) string {
+			res := f.Result
+			return fmt.Sprintf("seed %d under %v: %s: %s", res.Seed, res.Policy, res.Verdict, res.Diff)
+		},
+		Record: func(f campaign.Finding[contract.Result], minimize bool) (string, []byte) {
+			res, src := f.Result, f.Source
+			if minimize && res.Verdict == contract.VerdictUnsound {
+				src = contract.MinimizeUnsound(src, res)
+			}
+			// Re-check the (possibly shrunk) source with the recorded images
+			// so the .leak file replays byte-identically.
+			final := contract.CheckProgram(src, contract.Options{
+				Policy: res.Policy, Seed: res.Seed, SecretA: res.SecretA, SecretB: res.SecretB,
+			})
+			return fmt.Sprintf("seed%d-%s.leak", res.Seed, res.Policy),
+				contract.NewLeak(final, src, "authverify finding: "+res.Diff).Encode()
+		},
+		Replay: func(path string) (string, error, error) {
+			l, err := contract.LoadLeak(path)
 			if err != nil {
-				fatalf("%v", err)
+				return "", nil, err
 			}
-			so.Ledger = l
-		}
-		if *progress {
-			so.Meter = telemetry.NewMeter(os.Stderr, "authverify", 0)
-		}
-	}
-
-	bad := runSweep(ctx, seeds, pols, *mode, *minimize, *outDir, *parallel, *verbose, so, store, done)
-	if *kernels {
-		bad = runKernels(*verbose) || bad
-	}
-	if so != nil {
-		if so.Meter != nil {
-			so.Meter.Finish()
-		}
-		if so.Ledger != nil {
-			if err := so.Ledger.Close(); err != nil {
-				fatalf("telemetry: %v", err)
-			}
-		}
-		if snap := so.Metrics(); snap != nil {
-			fmt.Println()
-			report.WriteMetrics(os.Stdout, snap)
-			if *outDir != "" {
-				if err := writeMetricsJSON(*outDir, snap); err != nil {
-					fatalf("%v", err)
-				}
-			}
-		}
-	}
-
-	// main exits through os.Exit, so the profiles must be flushed here
-	// rather than in deferred calls.
-	stopProf()
-	if err := prof.WriteHeap(*memprof); err != nil {
-		fatalf("%v", err)
-	}
-	if bad {
-		os.Exit(1)
-	}
-}
-
-// writeMetricsJSON records the merged campaign snapshot next to the .leak
-// findings, so a verification campaign's observability outlives the terminal.
-func writeMetricsJSON(outDir string, snap *obs.Snapshot) error {
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(outDir, "metrics.json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("authverify: wrote %s\n", path)
-	return nil
-}
-
-func runSweep(ctx context.Context, seeds []int64, pols []policy.ControlPoint, mode string, minimize bool, outDir string, parallel int, verbose bool, so *diffcheck.SweepObs, store *campaign.Store, done map[campaign.CellID]string) bool {
-	var cells []contract.Cell
-	switch mode {
-	case "pair":
-		cells = contract.PairCells(seeds, pols)
-	case "cross":
-		cells = contract.CrossCells(seeds, pols)
-	default:
-		fatalf("mode %q: want pair or cross", mode)
-	}
-	total := len(cells)
-
-	// Resume: cells the prior ledger records as done are not swept again (the
-	// union of both ledgers then covers every cell exactly once). Prior
-	// finding cells are re-checked outside the ledger to regenerate the
-	// finding's program text — free when the cache holds the result.
-	opt := contract.Options{Cache: store}
-	var redo []contract.Cell
-	if done != nil {
-		pending := make([]contract.Cell, 0, len(cells))
-		for _, c := range cells {
-			v, ok := done[campaign.CellID{Kind: "verify", Policy: c.Policy.String(), Seed: c.Seed}]
-			if !ok {
-				pending = append(pending, c)
-				continue
-			}
-			if contract.IsFinding(contract.Verdict(v)) {
-				redo = append(redo, c)
-			}
-		}
-		fmt.Printf("authverify: resume: %d/%d cells already done (%d prior findings)\n",
-			total-len(pending), total, len(redo))
-		cells = pending
-	}
-
-	start := time.Now()
-	results, findings, err := contract.SweepObserved(ctx, cells, opt, parallel, so)
-	elapsed := time.Since(start).Round(time.Millisecond)
-
-	// Regenerate prior findings so a resumed campaign reports the same
-	// finding set as an uninterrupted one.
-	for _, c := range redo {
-		o := opt
-		o.Policy = c.Policy
-		res, src := contract.CheckSeed(c.Seed, o)
-		if contract.IsFinding(res.Verdict) {
-			findings = append(findings, contract.Finding{Result: res, Source: src})
-		}
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Result, findings[j].Result
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		return a.Policy.String() < b.Policy.String()
+			res, mismatch := l.Replay()
+			return fmt.Sprintf("%s (%d/%d cycles)", res.Verdict, res.CyclesA, res.CyclesB), mismatch, nil
+		},
+		After: func(_ []int64, _ []policy.ControlPoint, verbose bool) bool {
+			return *kernels && runKernels(verbose)
+		},
 	})
-
-	counts := map[contract.Verdict]int{}
-	skipped, cached := 0, 0
-	for _, r := range results {
-		if r.Verdict == "" {
-			skipped++
-			continue
-		}
-		counts[r.Verdict]++
-		if r.Cached {
-			cached++
-		}
-		if verbose {
-			fmt.Printf("seed %-6d %-45v %s\n", r.Seed, r.Policy, r.Verdict)
-		}
-	}
-	fmt.Printf("authverify: %d cells (%d seeds x %d policies, mode %s) in %v\n",
-		total, len(seeds), len(pols), mode, elapsed)
-	fmt.Printf("authverify: verdicts:")
-	for _, v := range []contract.Verdict{contract.VerdictClean, contract.VerdictImprecise,
-		contract.VerdictLicensed, contract.VerdictUnsound, contract.VerdictError} {
-		if counts[v] > 0 {
-			fmt.Printf(" %s=%d", v, counts[v])
-		}
-	}
-	if cached > 0 {
-		fmt.Printf(" cached=%d", cached)
-	}
-	if skipped > 0 {
-		fmt.Printf(" skipped=%d (budget)", skipped)
-	}
-	fmt.Println()
-	if store != nil {
-		fmt.Printf("authverify: cache: %d hits, %d misses, %d stored (%s)\n",
-			store.Hits(), store.Misses(), store.Puts(), store.Dir())
-		if cerr := store.Err(); cerr != nil {
-			fmt.Fprintf(os.Stderr, "authverify: cache: %v\n", cerr)
-		}
-	}
-	if err != nil && err != context.DeadlineExceeded {
-		fmt.Fprintf(os.Stderr, "authverify: sweep: %v\n", err)
-	}
-
-	for _, f := range findings {
-		reportFinding(f, minimize, outDir)
-	}
-	return len(findings) > 0
 }
 
-// reportFinding prints one unsound/error cell, optionally shrinks unsound
-// programs, and records a replayable .leak under outDir.
-func reportFinding(f contract.Finding, minimize bool, outDir string) {
-	res := f.Result
-	fmt.Printf("authverify: FINDING seed %d under %v: %s: %s\n", res.Seed, res.Policy, res.Verdict, res.Diff)
-
-	src := f.Source
-	if minimize && res.Verdict == contract.VerdictUnsound {
-		src = contract.MinimizeUnsound(src, res)
-	}
-	if outDir == "" {
-		return
-	}
-	// Re-check the (possibly shrunk) source with the recorded images so the
-	// .leak file replays byte-identically.
-	final := contract.CheckProgram(src, contract.Options{
-		Policy: res.Policy, Seed: res.Seed, SecretA: res.SecretA, SecretB: res.SecretB,
-	})
-	l := contract.NewLeak(final, src, "authverify finding: "+res.Diff)
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		fatalf("%v", err)
-	}
-	path := filepath.Join(outDir, fmt.Sprintf("seed%d-%s.leak", res.Seed, res.Policy))
-	if err := l.WriteFile(path); err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("authverify: wrote %s\n", path)
-}
-
-// runKernels checks the attack-kernel catalog across the full lattice: every
-// bus-observed exploit leak must be licensed under non-obfuscating policies,
-// never unsound anywhere, and address-free under obfuscation. This is the
-// CLI edition of the catalog pin the contract package tests enforce.
+// runKernels checks the attack-kernel catalog over each kernel's lattice
+// slice against the catalog pin (contract.KernelCase.Pin) — the CLI edition
+// of the pin TestKernelLeaksLicensed enforces.
 func runKernels(verbose bool) bool {
 	cases, err := contract.Catalog()
 	if err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("authverify", "%v", err)
 	}
 	bad := false
 	checked := 0
 	start := time.Now()
 	for _, kc := range cases {
-		for _, pt := range kernelPolicies(kc) {
+		for _, pt := range kc.Policies() {
 			res, err := contract.CheckKernel(kc, contract.Options{Policy: pt})
 			if err != nil {
 				bad = true
@@ -345,66 +115,13 @@ func runKernels(verbose bool) bool {
 			if verbose {
 				fmt.Printf("kernel %-22s %-45v %s\n", kc.Name, pt, res.Verdict)
 			}
-			switch {
-			case res.Verdict == contract.VerdictUnsound || res.Verdict == contract.VerdictError:
+			if err := kc.Pin(pt, res); err != nil {
 				bad = true
-			case !kc.BusLeak && kc.BusLeakUnder == nil && res.Verdict != contract.VerdictClean:
-				bad = true
-			case kc.BusLeakUnder != nil && !kc.LeaksUnder(pt) && res.Verdict != contract.VerdictImprecise:
-				// Policy closes the bus channel but the contract still
-				// licenses it (taint flows through auth in every mode).
-				bad = true
-			case kc.LeaksUnder(pt) && !pt.Obfuscate && res.Verdict != contract.VerdictLicensed:
-				bad = true
-			default:
-				continue
+				fmt.Printf("authverify: KERNEL PIN VIOLATION %v\n", err)
 			}
-			fmt.Printf("authverify: KERNEL PIN VIOLATION %s under %v: %s (bus-leak=%v): %s\n",
-				kc.Name, pt, res.Verdict, kc.LeaksUnder(pt), res.Diff)
 		}
 	}
 	fmt.Printf("authverify: kernel catalog: %d kernels, %d checks in %v\n",
 		len(cases), checked, time.Since(start).Round(time.Millisecond))
 	return bad
-}
-
-// kernelPolicies bounds the lattice slice per kernel: the non-halting victim
-// kernels and the cache-washing state kernel run hundreds of thousands of
-// cycles per check, so they get a representative slice instead of all 95
-// points.
-func kernelPolicies(kc contract.KernelCase) []policy.ControlPoint {
-	if kc.ObserveWatchdog || !kc.BusLeak {
-		return []policy.ControlPoint{
-			policy.Baseline, policy.AuthOnly, policy.ThenCommit,
-			policy.CommitPlusFetch, policy.CommitPlusObfuscation,
-		}
-	}
-	return policy.FullLattice()
-}
-
-// replayFiles replays each .leak byte-identically; any mismatch is a finding
-// (the model drifted from the recording, or the recording is stale).
-func replayFiles(files []string, verbose bool) int {
-	if len(files) == 0 {
-		fatalf("-replay needs at least one file")
-	}
-	code := 0
-	for _, path := range files {
-		l, err := contract.LoadLeak(path)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		res, err := l.Replay()
-		if err != nil {
-			code = 1
-			fmt.Printf("authverify: REPLAY MISMATCH %s: %v\n", path, err)
-			continue
-		}
-		if verbose {
-			fmt.Printf("%s: %s (%d/%d cycles) replayed byte-identically\n", path, res.Verdict, res.CyclesA, res.CyclesB)
-		} else {
-			fmt.Printf("%s: ok\n", path)
-		}
-	}
-	return code
 }

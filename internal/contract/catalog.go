@@ -3,6 +3,7 @@ package contract
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"authpoint/internal/analysis"
 	"authpoint/internal/asm"
@@ -185,4 +186,53 @@ func CheckKernel(kc KernelCase, opt Options) (Result, error) {
 		}
 	}
 	return Check(kc.Prog, opt), nil
+}
+
+// Policies is the lattice slice the kernel is pinned over: the full 95-point
+// lattice, except for the non-halting victim kernels and the cache-washing
+// state kernel, which run hundreds of thousands of cycles per check and get
+// a representative slice instead.
+func (kc KernelCase) Policies() []policy.ControlPoint {
+	if kc.ObserveWatchdog || !kc.BusLeak {
+		return []policy.ControlPoint{
+			policy.Baseline, policy.AuthOnly, policy.ThenCommit,
+			policy.CommitPlusFetch, policy.CommitPlusObfuscation,
+		}
+	}
+	return policy.FullLattice()
+}
+
+// Pin checks a kernel's two-run result under pt against the catalog's ground
+// truth and returns the violation, if any. Never unsound or error anywhere;
+// clean where the leak channel is not bus-visible; imprecise where the
+// policy closes the bus channel (the contract still licenses it); licensed
+// where the leak is real; and under obfuscation, no address difference
+// observed and no address channel licensed.
+func (kc KernelCase) Pin(pt policy.ControlPoint, res Result) error {
+	var want string
+	switch {
+	case res.Verdict == VerdictUnsound || res.Verdict == VerdictError:
+		want = "never unsound or error"
+	case !kc.BusLeak && kc.BusLeakUnder == nil:
+		if res.Verdict != VerdictClean {
+			want = "clean: the leak channel " + kc.Channel + " is not bus-visible"
+		}
+	case !kc.LeaksUnder(pt):
+		if res.Verdict != VerdictImprecise {
+			want = "imprecise: the policy closes the bus channel, the contract still licenses it"
+		}
+	case !pt.Obfuscate:
+		if res.Verdict != VerdictLicensed {
+			want = "licensed"
+		}
+	case slices.Contains(res.Channels, ChannelAddr):
+		want = "no address difference under obfuscation"
+	case res.Contract.Licenses(ChannelAddr):
+		want = "no address channel licensed under obfuscation"
+	}
+	if want == "" {
+		return nil
+	}
+	return fmt.Errorf("%s under %v: verdict %s, want %s (bus-leak=%v): %s",
+		kc.Name, pt, res.Verdict, want, kc.LeaksUnder(pt), res.Diff)
 }

@@ -1,14 +1,12 @@
 package contract
 
 import (
-	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"authpoint/internal/analysis"
 	"authpoint/internal/attack"
+	"authpoint/internal/campaign"
 	"authpoint/internal/diffcheck"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
@@ -88,50 +86,25 @@ func NewLeak(res Result, src, note string) *Leak {
 	}
 }
 
+var leakCodec = campaign.Codec[Leak]{Schema: LeakSchema, Name: "contract: leak"}
+
 // Encode renders the leak as canonical JSON (fixed field order, two-space
 // indent, trailing newline). Replay compares encodings byte-for-byte.
-func (l *Leak) Encode() []byte {
-	b, err := json.MarshalIndent(l, "", "  ")
-	if err != nil {
-		// Only unmarshalable types reach this; the struct has none.
-		panic(err)
-	}
-	return append(b, '\n')
-}
+func (l *Leak) Encode() []byte { return leakCodec.Encode(l) }
 
 // DecodeLeak parses and schema-checks a leak file.
-func DecodeLeak(data []byte) (*Leak, error) {
-	var l Leak
-	if err := json.Unmarshal(data, &l); err != nil {
-		return nil, fmt.Errorf("contract: leak does not decode: %w", err)
-	}
-	if l.Schema != LeakSchema {
-		return nil, fmt.Errorf("contract: leak schema %q, want %q", l.Schema, LeakSchema)
-	}
-	if l.Source == "" {
-		return nil, fmt.Errorf("contract: leak has no source")
-	}
-	return &l, nil
-}
+func DecodeLeak(data []byte) (*Leak, error) { return leakCodec.Decode(data) }
 
 // LoadLeak reads a leak file from disk.
-func LoadLeak(path string) (*Leak, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeLeak(data)
-}
+func LoadLeak(path string) (*Leak, error) { return leakCodec.Load(path) }
 
 // WriteFile writes the canonical encoding to path.
-func (l *Leak) WriteFile(path string) error {
-	return os.WriteFile(path, l.Encode(), 0o644)
-}
+func (l *Leak) WriteFile(path string) error { return leakCodec.Write(path, l) }
 
 // Replay re-runs the recorded two-run check with the recorded images and
 // verifies the outcome is byte-identical: re-recording the fresh result must
 // reproduce the original file exactly. It returns the fresh result and an
-// error describing the mismatch, if any.
+// error naming the first mismatched field, if any.
 func (l *Leak) Replay() (Result, error) {
 	pol, err := policy.Parse(l.Policy)
 	if err != nil {
@@ -153,31 +126,10 @@ func (l *Leak) Replay() (Result, error) {
 	fresh := NewLeak(res, l.Source, l.Note)
 	fresh.Probe = l.Probe
 	fresh.SecretSymbols = l.SecretSymbols
-	if !bytes.Equal(fresh.Encode(), l.Encode()) {
-		return res, fmt.Errorf("contract: replay diverged from recording: %s", leakDiff(l, fresh))
+	if diff := leakCodec.Diff(l, fresh); diff != "" {
+		return res, fmt.Errorf("contract: replay diverged from recording: %s", diff)
 	}
 	return res, nil
-}
-
-// leakDiff names the first differing field between two leaks.
-func leakDiff(want, got *Leak) string {
-	type f struct{ name, want, got string }
-	fields := []f{
-		{"verdict", want.Verdict, got.Verdict},
-		{"diff", want.Diff, got.Diff},
-		{"channels", fmt.Sprint(want.Channels), fmt.Sprint(got.Channels)},
-		{"contract_entries", fmt.Sprint(want.ContractEntries), fmt.Sprint(got.ContractEntries)},
-		{"addr_visible", fmt.Sprint(want.AddrVisible), fmt.Sprint(got.AddrVisible)},
-		{"cycles_a", fmt.Sprint(want.CyclesA), fmt.Sprint(got.CyclesA)},
-		{"cycles_b", fmt.Sprint(want.CyclesB), fmt.Sprint(got.CyclesB)},
-		{"policy", want.Policy, got.Policy},
-	}
-	for _, x := range fields {
-		if x.want != x.got {
-			return fmt.Sprintf("%s = %q, recorded %q", x.name, x.got, x.want)
-		}
-	}
-	return "encodings differ (source or metadata)"
 }
 
 // MinimizeUnsound shrinks the source of an unsound finding to a minimal

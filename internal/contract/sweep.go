@@ -1,144 +1,41 @@
 package contract
 
 import (
-	"context"
-	"sort"
-	"sync"
-	"time"
-
-	"authpoint/internal/diffcheck"
-	"authpoint/internal/harness"
-	"authpoint/internal/policy"
+	"authpoint/internal/campaign"
+	"authpoint/internal/obs"
 	"authpoint/internal/telemetry"
 )
-
-// Cell is one unit of verification work: a generated seed checked under one
-// policy.
-type Cell struct {
-	Seed   int64
-	Policy policy.ControlPoint
-}
-
-// PairCells spreads seeds round-robin over the policies: seed i runs under
-// policies[i mod len]. This is the CI smoke shape — every seed checked once,
-// every policy exercised continuously — at 1/len(policies) the cost of the
-// full cross product.
-func PairCells(seeds []int64, pols []policy.ControlPoint) []Cell {
-	out := make([]Cell, len(seeds))
-	for i, s := range seeds {
-		out[i] = Cell{Seed: s, Policy: pols[i%len(pols)]}
-	}
-	return out
-}
-
-// CrossCells is the full cross product: every seed under every policy.
-func CrossCells(seeds []int64, pols []policy.ControlPoint) []Cell {
-	out := make([]Cell, 0, len(seeds)*len(pols))
-	for _, s := range seeds {
-		for _, p := range pols {
-			out = append(out, Cell{Seed: s, Policy: p})
-		}
-	}
-	return out
-}
-
-// Finding is a cell whose verdict is a problem — unsound (the analysis
-// missed a dynamic leak) or error — with the program that provoked it.
-type Finding struct {
-	Result Result
-	Source string
-}
 
 // IsFinding reports whether a verdict is a finding. Licensed and imprecise
 // are expected outcomes of a conservative analysis, not findings.
 func IsFinding(v Verdict) bool { return v == VerdictUnsound || v == VerdictError }
 
-// bad is the sweep-internal alias for IsFinding.
-func bad(v Verdict) bool { return IsFinding(v) }
+// Campaign adapts the two-run check to the campaign engine (campaign.Run):
+// every cell checks its seed's generated secret-mode program under the
+// cell's policy, with Options as the base options.
+type Campaign struct{ Options Options }
 
-// Sweep checks every cell on the harness worker pool (parallelism <= 0 means
-// NumCPU) and returns per-cell results in cell order plus the findings,
-// sorted by (seed, policy) for determinism. Cells skipped because ctx
-// expired have an empty Verdict; the ctx error is returned so callers can
-// distinguish "clean" from "clean so far, budget exhausted".
-func Sweep(ctx context.Context, cells []Cell, opt Options, parallelism int) ([]Result, []Finding, error) {
-	return SweepObserved(ctx, cells, opt, parallelism, nil)
-}
+// Kind labels verify ledger records and resume identities.
+func (Campaign) Kind() string { return "verify" }
 
-// SweepObserved is Sweep with campaign telemetry (the observability hooks
-// are shared with the differential fuzzer: one ledger schema, one meter).
-func SweepObserved(ctx context.Context, cells []Cell, opt Options, parallelism int, so *diffcheck.SweepObs) ([]Result, []Finding, error) {
-	runner := &harness.Runner{Parallelism: parallelism}
-	var seqBase uint64
-	if so != nil {
-		runner.Meter = so.Meter
-		if so.Ledger != nil {
-			seqBase = so.Ledger.ReserveSeq(len(cells))
-		}
-		if so.CollectMetrics {
-			opt.MetricsSink = so.Sink
-		}
+// Runner attaches the metrics sink to the base options.
+func (a Campaign) Runner(_ []campaign.Cell, sink func(*obs.Snapshot)) func(campaign.Cell) (Result, string) {
+	opt := a.Options
+	if sink != nil {
+		opt.MetricsSink = sink
 	}
-	results := make([]Result, len(cells))
-	var (
-		mu       sync.Mutex
-		findings []Finding
-	)
-	err := runner.Do(ctx, len(cells), func(ctx context.Context, i int) error {
-		if ctx.Err() != nil {
-			return nil // budget expired while queued: leave the cell empty
-		}
-		c := cells[i]
+	return func(c campaign.Cell) (Result, string) {
 		o := opt
 		o.Policy = c.Policy
-		start := time.Now()
-		res, src := CheckSeed(c.Seed, o)
-		results[i] = res
-		if so != nil && so.Ledger != nil {
-			so.Ledger.Emit(telemetry.Record{
-				Seq:     seqBase + uint64(i),
-				Kind:    "verify",
-				Policy:  c.Policy.String(),
-				Seed:    c.Seed,
-				Verdict: string(res.Verdict),
-				// Both runs' cycles: the cell's total simulated work.
-				SimCycles: res.CyclesA + res.CyclesB,
-				HostNs:    time.Since(start).Nanoseconds(),
-				Worker:    telemetry.Worker(ctx),
-				Cached:    res.Cached,
-			})
-		}
-		if bad(res.Verdict) {
-			mu.Lock()
-			findings = append(findings, Finding{Result: res, Source: src})
-			mu.Unlock()
-		}
-		return nil
-	})
-	// Cells the budget (or a fail-fast cancel) never ran get explicit skipped
-	// records, mirroring the fuzz sweep: no silent sequence holes, and a
-	// resumed campaign can tell skipped from done.
-	if so != nil && so.Ledger != nil {
-		for i, r := range results {
-			if r.Verdict != "" {
-				continue
-			}
-			c := cells[i]
-			so.Ledger.Emit(telemetry.Record{
-				Seq:     seqBase + uint64(i),
-				Kind:    "verify",
-				Policy:  c.Policy.String(),
-				Seed:    c.Seed,
-				Verdict: telemetry.VerdictSkipped,
-			})
-		}
+		return CheckSeed(c.Seed, o)
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Result, findings[j].Result
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		return a.Policy.String() < b.Policy.String()
-	})
-	return results, findings, err
 }
+
+// Outcome renders a result's ledger fields; a cell's simulated work is both
+// runs' cycles.
+func (Campaign) Outcome(r Result) telemetry.Record {
+	return telemetry.Record{Verdict: string(r.Verdict), SimCycles: r.CyclesA + r.CyclesB, Cached: r.Cached}
+}
+
+// IsFinding reports whether a verdict string is a finding.
+func (Campaign) IsFinding(v string) bool { return IsFinding(Verdict(v)) }

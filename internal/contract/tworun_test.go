@@ -5,22 +5,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"authpoint/internal/campaign"
 	"authpoint/internal/diffcheck"
 	"authpoint/internal/policy"
 )
-
-// kernelPolicies picks the policy set a kernel is swept over: the full
-// 95-point lattice for fast kernels, a representative slice for the ones
-// that run hundreds of thousands of cycles per check.
-func kernelPolicies(kc KernelCase) []policy.ControlPoint {
-	if kc.ObserveWatchdog || kc.Name == "memory-taint" {
-		return []policy.ControlPoint{
-			policy.Baseline, policy.AuthOnly, policy.ThenCommit,
-			policy.CommitPlusFetch, policy.CommitPlusObfuscation,
-		}
-	}
-	return policy.FullLattice()
-}
 
 // TestKernelLeaksLicensed is the tentpole pin: every attack kernel with a
 // bus-observed leak gets verdict "licensed" under every non-obfuscating
@@ -39,11 +27,16 @@ func TestKernelLeaksLicensed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kc := range cases {
-		for _, pt := range kernelPolicies(kc) {
+		for _, pt := range kc.Policies() {
 			res, err := CheckKernel(kc, Options{Policy: pt})
 			if err != nil {
 				t.Errorf("%s under %v: %v", kc.Name, pt, err)
 				continue
+			}
+			// The pin authverify applies must agree with the assertions
+			// below.
+			if err := kc.Pin(pt, res); err != nil {
+				t.Errorf("pin: %v", err)
 			}
 			if res.Verdict == VerdictUnsound || res.Verdict == VerdictError {
 				t.Errorf("%s under %v: verdict %s (%s)", kc.Name, pt, res.Verdict, res.Diff)
@@ -91,16 +84,16 @@ func TestSweepNoUnsound(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	cells := PairCells(seeds, policy.FullLattice())
-	results, findings, err := Sweep(context.Background(), cells, Options{}, 0)
+	cells, _ := campaign.Cells("pair", seeds, policy.FullLattice())
+	rep, err := campaign.Run(context.Background(), Campaign{}, cells, campaign.Sweep{})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	for _, f := range findings {
+	for _, f := range rep.Findings {
 		t.Errorf("seed %d under %v: %s: %s", f.Result.Seed, f.Result.Policy, f.Result.Verdict, f.Result.Diff)
 	}
 	counts := map[Verdict]int{}
-	for _, r := range results {
+	for _, r := range rep.Results {
 		counts[r.Verdict]++
 	}
 	if counts[VerdictLicensed] == 0 {
@@ -114,14 +107,14 @@ func TestSweepNoUnsound(t *testing.T) {
 // TestCrossSweepDeterministic pins that the same cell checked twice yields
 // identical results — the soundness argument rests on run determinism.
 func TestCrossSweepDeterministic(t *testing.T) {
-	cells := CrossCells([]int64{3, 7}, []policy.ControlPoint{policy.Baseline, policy.CommitPlusObfuscation})
-	r1, _, err1 := Sweep(context.Background(), cells, Options{}, 2)
-	r2, _, err2 := Sweep(context.Background(), cells, Options{}, 1)
+	cells, _ := campaign.Cells("cross", []int64{3, 7}, []policy.ControlPoint{policy.Baseline, policy.CommitPlusObfuscation})
+	r1, err1 := campaign.Run(context.Background(), Campaign{}, cells, campaign.Sweep{Parallelism: 2})
+	r2, err2 := campaign.Run(context.Background(), Campaign{}, cells, campaign.Sweep{Parallelism: 1})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("sweep: %v / %v", err1, err2)
 	}
-	for i := range r1 {
-		a, b := r1[i], r2[i]
+	for i := range r1.Results {
+		a, b := r1.Results[i], r2.Results[i]
 		if a.Verdict != b.Verdict || a.CyclesA != b.CyclesA || a.CyclesB != b.CyclesB || a.Diff != b.Diff {
 			t.Errorf("cell %d not deterministic: %+v vs %+v", i, a, b)
 		}
@@ -210,5 +203,38 @@ func TestDiffViews(t *testing.T) {
 	chans, _ = DiffViews(base, both)
 	if len(chans) != 2 || chans[0] != ChannelAddr || chans[1] != ChannelTiming {
 		t.Fatalf("combined diff classified as %v", chans)
+	}
+}
+
+// TestKernelPinRejects checks the catalog pin itself on synthetic results:
+// each verdict rule, including the obfuscation case, rejects a wrong result.
+func TestKernelPinRejects(t *testing.T) {
+	leaky := KernelCase{Name: "leaky", Channel: "addr", BusLeak: true}
+	quiet := KernelCase{Name: "quiet", Channel: "io"}
+	closed := KernelCase{Name: "closed", BusLeak: true, BusLeakUnder: func(policy.ControlPoint) bool { return false }}
+	tight := &Contract{AddrVisible: false, Entries: []Entry{{PC: 4}}}
+	loose := &Contract{AddrVisible: true, Entries: []Entry{{PC: 4}}}
+	obf := policy.CommitPlusObfuscation
+	cases := []struct {
+		kc   KernelCase
+		pt   policy.ControlPoint
+		res  Result
+		pass bool
+	}{
+		{leaky, policy.ThenCommit, Result{Verdict: VerdictLicensed, Contract: loose}, true},
+		{leaky, policy.ThenCommit, Result{Verdict: VerdictImprecise, Contract: loose}, false},
+		{leaky, policy.ThenCommit, Result{Verdict: VerdictUnsound, Contract: loose}, false},
+		{quiet, policy.ThenCommit, Result{Verdict: VerdictClean, Contract: tight}, true},
+		{quiet, policy.ThenCommit, Result{Verdict: VerdictImprecise, Contract: tight}, false},
+		{closed, policy.ThenCommit, Result{Verdict: VerdictImprecise, Contract: loose}, true},
+		{closed, policy.ThenCommit, Result{Verdict: VerdictLicensed, Contract: loose}, false},
+		{leaky, obf, Result{Verdict: VerdictLicensed, Channels: []Channel{ChannelTiming}, Contract: tight}, true},
+		{leaky, obf, Result{Verdict: VerdictLicensed, Channels: []Channel{ChannelAddr}, Contract: tight}, false},
+		{leaky, obf, Result{Verdict: VerdictImprecise, Contract: loose}, false},
+	}
+	for i, c := range cases {
+		if err := c.kc.Pin(c.pt, c.res); (err == nil) != c.pass {
+			t.Errorf("case %d (%s under %v, %s): pin error %v, want pass=%v", i, c.kc.Name, c.pt, c.res.Verdict, err, c.pass)
+		}
 	}
 }

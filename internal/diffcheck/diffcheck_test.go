@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"authpoint/internal/asm"
+	"authpoint/internal/campaign"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 )
@@ -22,7 +23,7 @@ func TestGenDeterministic(t *testing.T) {
 	}
 }
 
-// TestEquivalenceAcrossLattice pair-sweeps seeds over the 15-point lattice:
+// TestEquivalenceAcrossLattice pair-sweeps seeds over the 27-point lattice:
 // every policy is exercised, every seed checked once.
 func TestEquivalenceAcrossLattice(t *testing.T) {
 	pols := policy.Lattice()
@@ -30,14 +31,15 @@ func TestEquivalenceAcrossLattice(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = int64(i + 1)
 	}
-	results, findings, err := Sweep(context.Background(), PairCells(seeds, pols, false), Options{}, 0)
+	cells, _ := campaign.Cells("pair", seeds, pols)
+	rep, err := campaign.Run(context.Background(), Campaign{}, cells, campaign.Sweep{})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
-	for _, f := range findings {
+	for _, f := range rep.Findings {
 		t.Errorf("seed %d under %v: %s: %s", f.Result.Seed, f.Result.Policy, f.Result.Verdict, f.Result.Divergence)
 	}
-	for _, r := range results {
+	for _, r := range rep.Results {
 		if r.Verdict != VerdictOK {
 			t.Errorf("seed %d under %v: verdict %s, want ok", r.Seed, r.Policy, r.Verdict)
 		}
@@ -206,15 +208,15 @@ func TestDecodeReproRejects(t *testing.T) {
 func TestSweepBudgetExpiry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // budget already spent: every cell must be skipped, not run
-	cells := PairCells([]int64{1, 2, 3}, policy.Lattice(), false)
-	results, findings, err := Sweep(ctx, cells, Options{}, 2)
+	cells, _ := campaign.Cells("pair", []int64{1, 2, 3}, policy.Lattice())
+	rep, err := campaign.Run(ctx, Campaign{}, cells, campaign.Sweep{Parallelism: 2})
 	if err == nil {
 		t.Fatal("expired context did not surface")
 	}
-	if len(findings) != 0 {
-		t.Fatalf("skipped cells produced %d findings", len(findings))
+	if len(rep.Findings) != 0 {
+		t.Fatalf("skipped cells produced %d findings", len(rep.Findings))
 	}
-	for i, r := range results {
+	for i, r := range rep.Results {
 		if r.Verdict != "" {
 			t.Fatalf("cell %d ran despite expired budget: %v", i, r.Verdict)
 		}

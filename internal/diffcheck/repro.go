@@ -1,11 +1,9 @@
 package diffcheck
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 
+	"authpoint/internal/campaign"
 	"authpoint/internal/policy"
 )
 
@@ -70,51 +68,26 @@ func NewRepro(res Result, src, note string) *Repro {
 	}
 }
 
+var reproCodec = campaign.Codec[Repro]{Schema: ReproSchema, Name: "diffcheck: repro"}
+
 // Encode renders the repro as canonical JSON (fixed field order, two-space
 // indent, trailing newline). Replay compares encodings byte-for-byte.
-func (r *Repro) Encode() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		// Only unmarshalable types reach this; the struct has none.
-		panic(err)
-	}
-	return append(b, '\n')
-}
+func (r *Repro) Encode() []byte { return reproCodec.Encode(r) }
 
 // DecodeRepro parses and schema-checks a repro file.
-func DecodeRepro(data []byte) (*Repro, error) {
-	var r Repro
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("diffcheck: repro does not decode: %w", err)
-	}
-	if r.Schema != ReproSchema {
-		return nil, fmt.Errorf("diffcheck: repro schema %q, want %q", r.Schema, ReproSchema)
-	}
-	if r.Source == "" {
-		return nil, fmt.Errorf("diffcheck: repro has no source")
-	}
-	return &r, nil
-}
+func DecodeRepro(data []byte) (*Repro, error) { return reproCodec.Decode(data) }
 
 // LoadRepro reads a repro file from disk.
-func LoadRepro(path string) (*Repro, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRepro(data)
-}
+func LoadRepro(path string) (*Repro, error) { return reproCodec.Load(path) }
 
 // WriteFile writes the canonical encoding to path.
-func (r *Repro) WriteFile(path string) error {
-	return os.WriteFile(path, r.Encode(), 0o644)
-}
+func (r *Repro) WriteFile(path string) error { return reproCodec.Write(path, r) }
 
 // Replay re-runs the recorded program under the recorded policy and tamper
 // flag and verifies the outcome is byte-identical: re-recording the fresh
 // result must reproduce the original file exactly (same verdict, stop
 // reason, cycle and instruction counts, and state digests). It returns the
-// fresh result and an error describing the first mismatch, if any.
+// fresh result and an error naming the first mismatched field, if any.
 func (r *Repro) Replay() (Result, error) {
 	pol, err := policy.Parse(r.Policy)
 	if err != nil {
@@ -122,31 +95,8 @@ func (r *Repro) Replay() (Result, error) {
 	}
 	res := Check(r.Source, Options{Policy: pol, Tamper: r.Tamper, TamperSite: TamperSite(r.TamperSite)})
 	res.Seed = r.Seed
-	fresh := NewRepro(res, r.Source, r.Note)
-	if !bytes.Equal(fresh.Encode(), r.Encode()) {
-		return res, fmt.Errorf("diffcheck: replay diverged from recording: %s", reproDiff(r, fresh))
+	if diff := reproCodec.Diff(r, NewRepro(res, r.Source, r.Note)); diff != "" {
+		return res, fmt.Errorf("diffcheck: replay diverged from recording: %s", diff)
 	}
 	return res, nil
-}
-
-// reproDiff names the first differing field between two repros.
-func reproDiff(want, got *Repro) string {
-	type f struct{ name, want, got string }
-	fields := []f{
-		{"verdict", want.Verdict, got.Verdict},
-		{"divergence", want.Divergence, got.Divergence},
-		{"reason", want.Reason, got.Reason},
-		{"cycles", fmt.Sprint(want.Cycles), fmt.Sprint(got.Cycles)},
-		{"insts", fmt.Sprint(want.Insts), fmt.Sprint(got.Insts)},
-		{"oracle_digest", want.OracleDigest, got.OracleDigest},
-		{"sim_digest", want.SimDigest, got.SimDigest},
-		{"policy", want.Policy, got.Policy},
-		{"tamper_site", want.TamperSite, got.TamperSite},
-	}
-	for _, x := range fields {
-		if x.want != x.got {
-			return fmt.Sprintf("%s = %q, recorded %q", x.name, x.got, x.want)
-		}
-	}
-	return "encodings differ (source or metadata)"
 }

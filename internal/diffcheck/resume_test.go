@@ -4,11 +4,9 @@ import (
 	"context"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"authpoint/internal/campaign"
-	"authpoint/internal/obs"
 	"authpoint/internal/policy"
 	"authpoint/internal/telemetry"
 )
@@ -49,142 +47,6 @@ func TestParseSeedRangeOverflow(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "range spans") {
 			t.Fatalf("%q: error %v does not name the range cap", s, err)
-		}
-	}
-}
-
-// checkLedger runs one observed sweep writing a checkpoint ledger to path,
-// cancelling ctx after the killAfter-th cell when killAfter > 0.
-func sweepWithLedger(t *testing.T, path string, cells []Cell, killAfter int) ([]Result, []Finding) {
-	t.Helper()
-	l, err := telemetry.Create(path, telemetry.NewHeader("test", 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := &SweepObs{Ledger: l}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opt := Options{}
-	if killAfter > 0 {
-		var n atomic.Int64
-		// The metrics sink fires once per timed run — one per non-tamper
-		// cell — so it doubles as a mid-campaign kill switch.
-		opt.MetricsSink = func(*obs.Snapshot) {
-			if n.Add(1) == int64(killAfter) {
-				cancel()
-			}
-		}
-	}
-	results, findings, _ := SweepObserved(ctx, cells, opt, 1, so)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return results, findings
-}
-
-// TestSweepKillResumeUnion is the end-to-end checkpoint/resume invariant: a
-// campaign killed mid-flight and resumed from its ledger covers, across the
-// union of both ledgers, every cell exactly once — with per-cell records
-// identical to an uninterrupted run's.
-func TestSweepKillResumeUnion(t *testing.T) {
-	pols := []policy.ControlPoint{policy.Baseline, policy.ThenCommit}
-	cells := CrossCells([]int64{1, 2, 3, 4, 5}, pols, false)
-	dir := t.TempDir()
-
-	// Run 1: killed after 4 cells. The ledger must still record every cell —
-	// terminal verdicts for the ones that ran, explicit skips for the rest.
-	first := dir + "/first.jsonl"
-	results1, findings1 := sweepWithLedger(t, first, cells, 4)
-	if len(findings1) != 0 {
-		t.Fatalf("unexpected findings in run 1: %d", len(findings1))
-	}
-	ran := 0
-	for _, r := range results1 {
-		if r.Verdict != "" {
-			ran++
-		}
-	}
-	if ran == 0 || ran == len(cells) {
-		t.Fatalf("kill switch did not interrupt the sweep: %d/%d cells ran", ran, len(cells))
-	}
-	lf1, err := telemetry.ReadFile(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lf1.Validate(); err != nil {
-		t.Fatalf("interrupted ledger is not a valid checkpoint: %v", err)
-	}
-	if len(lf1.Records) != len(cells) {
-		t.Fatalf("interrupted ledger has %d records, want one per cell (%d)", len(lf1.Records), len(cells))
-	}
-
-	// Resume: subtract the checkpoint's completed cells, sweep the rest.
-	done, err := campaign.LoadCompleted(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(done) != ran {
-		t.Fatalf("checkpoint records %d completed cells, want %d", len(done), ran)
-	}
-	var pending []Cell
-	for _, c := range cells {
-		id := campaign.CellID{Kind: "fuzz", Policy: c.Policy.String(), Seed: c.Seed,
-			Tamper: c.Tamper, Site: string(c.EffectiveSite())}
-		if _, ok := done[id]; !ok {
-			pending = append(pending, c)
-		}
-	}
-	if len(pending) != len(cells)-ran {
-		t.Fatalf("resume selected %d pending cells, want %d", len(pending), len(cells)-ran)
-	}
-	second := dir + "/second.jsonl"
-	_, findings2 := sweepWithLedger(t, second, pending, 0)
-	if len(findings2) != 0 {
-		t.Fatalf("unexpected findings in run 2: %d", len(findings2))
-	}
-
-	// The union of terminal records across both ledgers covers every cell
-	// exactly once.
-	lf2, err := telemetry.ReadFile(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	union := map[campaign.CellID]telemetry.Record{}
-	for _, lf := range []*telemetry.LedgerFile{lf1, lf2} {
-		for _, r := range lf.Records {
-			if r.Verdict == "" || r.Verdict == telemetry.VerdictSkipped {
-				continue
-			}
-			id := campaign.CellID{Kind: r.Kind, Policy: r.Policy, Seed: r.Seed, Tamper: r.Tamper, Site: r.Site}
-			if _, dup := union[id]; dup {
-				t.Fatalf("cell %+v recorded by both runs", id)
-			}
-			union[id] = r
-		}
-	}
-	if len(union) != len(cells) {
-		t.Fatalf("union covers %d cells, want %d", len(union), len(cells))
-	}
-
-	// And each union record matches the uninterrupted campaign's, field for
-	// field, once host-dependent fields (and the seq renumbering) are shed.
-	full := dir + "/full.jsonl"
-	sweepWithLedger(t, full, cells, 0)
-	lf3, err := telemetry.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range lf3.Records {
-		id := campaign.CellID{Kind: r.Kind, Policy: r.Policy, Seed: r.Seed, Tamper: r.Tamper, Site: r.Site}
-		got, ok := union[id]
-		if !ok {
-			t.Fatalf("cell %+v missing from the resumed union", id)
-		}
-		want := r.Canonical()
-		got = got.Canonical()
-		want.Seq, got.Seq = 0, 0
-		if got != want {
-			t.Fatalf("cell %+v: resumed record %+v != uninterrupted %+v", id, got, want)
 		}
 	}
 }
@@ -239,7 +101,7 @@ func TestSweepCachedSecondRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	pols := []policy.ControlPoint{policy.Baseline, policy.ThenFetch}
-	cells := CrossCells([]int64{10, 11, 12}, pols, false)
+	cells, _ := campaign.Cells("cross", []int64{10, 11, 12}, pols)
 	dir := t.TempDir()
 
 	sweepLedger := func(path string) *telemetry.LedgerFile {
@@ -248,8 +110,8 @@ func TestSweepCachedSecondRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		so := &SweepObs{Ledger: l}
-		if _, _, err := SweepObserved(context.Background(), cells, Options{Cache: store}, 2, so); err != nil {
+		sw := campaign.Sweep{Parallelism: 2, Ledger: l}
+		if _, err := campaign.Run(context.Background(), Campaign{Options{Cache: store}}, cells, sw); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {

@@ -1,17 +1,12 @@
 package diffcheck
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
-	"authpoint/internal/harness"
+	"authpoint/internal/campaign"
 	"authpoint/internal/obs"
-	"authpoint/internal/policy"
 	"authpoint/internal/telemetry"
 )
 
@@ -51,227 +46,55 @@ func ParseSeedRange(s string) ([]int64, error) {
 	return out, nil
 }
 
-// Cell is one unit of fuzz work: a seed checked under one policy. Site
-// selects the tamper site for tamper cells; empty means SiteEntry.
-type Cell struct {
-	Seed   int64
-	Policy policy.ControlPoint
-	Tamper bool
-	Site   TamperSite
-}
-
-// EffectiveSite is the site a check of this cell records: tamper cells
-// default to the entry site, untampered cells have none. This is the Site
-// value the cell's ledger record carries, so resume joins on it.
-func (c Cell) EffectiveSite() TamperSite {
-	if !c.Tamper {
-		return ""
-	}
-	if c.Site == "" {
-		return SiteEntry
-	}
-	return c.Site
-}
-
-// WithSite returns the cells with every tamper cell retargeted to site.
-// Non-tamper cells are unchanged.
-func WithSite(cells []Cell, site TamperSite) []Cell {
-	out := make([]Cell, len(cells))
-	for i, c := range cells {
-		if c.Tamper {
-			c.Site = site
-		}
-		out[i] = c
-	}
-	return out
-}
-
-// PairCells spreads seeds round-robin over the policies: seed i runs under
-// policies[i mod len]. This is the CI smoke shape — every seed checked
-// once, every policy exercised continuously — at 1/len(policies) the cost
-// of the full cross product.
-func PairCells(seeds []int64, pols []policy.ControlPoint, tamper bool) []Cell {
-	out := make([]Cell, len(seeds))
-	for i, s := range seeds {
-		out[i] = Cell{Seed: s, Policy: pols[i%len(pols)], Tamper: tamper}
-	}
-	return out
-}
-
-// CrossCells is the full cross product: every seed under every policy.
-func CrossCells(seeds []int64, pols []policy.ControlPoint, tamper bool) []Cell {
-	out := make([]Cell, 0, len(seeds)*len(pols))
-	for _, s := range seeds {
-		for _, p := range pols {
-			out = append(out, Cell{Seed: s, Policy: p, Tamper: tamper})
-		}
-	}
-	return out
-}
-
-// Finding is a cell whose check did not come back clean, with the program
-// that provoked it.
-type Finding struct {
-	Result Result
-	Source string
-}
-
 // IsFinding reports whether a verdict is a finding. Tamper verdicts other
 // than divergence are expected outcomes, not findings.
 func IsFinding(v Verdict) bool { return v == VerdictDivergence || v == VerdictError }
 
-// bad is the sweep-internal alias for IsFinding.
-func bad(v Verdict) bool { return IsFinding(v) }
+// Campaign adapts the differential check to the campaign engine
+// (campaign.Run): every cell checks its seed's generated program under the
+// cell's policy and tamper site, with Options as the base options.
+type Campaign struct{ Options Options }
 
-// SweepObs carries the campaign-level observability hooks of a sweep: the
-// telemetry ledger and progress meter, and an optional merged metrics
-// snapshot across every cell. All fields are optional; the zero value (or a
-// nil *SweepObs) observes nothing.
-type SweepObs struct {
-	// Ledger receives one record per cell, sequence-numbered in cell order.
-	Ledger *telemetry.Ledger
-	// Meter is fed one tick per finished cell.
-	Meter *telemetry.Meter
-	// CollectMetrics attaches an observability hub to every timed run and
-	// merges the per-cell snapshots; Metrics returns the merged result.
-	CollectMetrics bool
+// Kind labels fuzz ledger records and resume identities.
+func (Campaign) Kind() string { return "fuzz" }
 
-	mu     sync.Mutex
-	merged *obs.Snapshot
-}
-
-// Sink folds one cell's snapshot into the campaign aggregate. Safe for
-// concurrent use (diffcheck.Options.MetricsSink requires it).
-func (s *SweepObs) Sink(snap *obs.Snapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.merged == nil {
-		s.merged = snap
-		return
-	}
-	// Merge only errors on histogram bucket-bound mismatches, which cannot
-	// happen here: every cell uses the Hub's fixed bucket sets.
-	_ = s.merged.Merge(snap)
-}
-
-// Metrics returns the merged campaign snapshot (nil unless CollectMetrics
-// was set and at least one cell ran).
-func (s *SweepObs) Metrics() *obs.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.merged
-}
-
-// Sweep checks every cell on the harness worker pool (parallelism <= 0
-// means NumCPU) and returns per-cell results in cell order plus the
-// findings, sorted by (seed, policy) for determinism. Cells skipped because
-// ctx expired have an empty Verdict; the ctx error is returned so callers
-// can distinguish "clean" from "clean so far, budget exhausted".
-func Sweep(ctx context.Context, cells []Cell, opt Options, parallelism int) ([]Result, []Finding, error) {
-	return SweepObserved(ctx, cells, opt, parallelism, nil)
-}
-
-// SweepObserved is Sweep with campaign telemetry: per-cell ledger records
-// (including explicit "skipped" records for cells the budget never ran, so a
-// ledger doubles as a resume checkpoint), live progress, and (optionally)
-// merged observability metrics. When the cell list repeats seeds (a cross
-// campaign) and the caller supplied no oracle memo, one is attached so the
+// Runner attaches the metrics sink and, when the cells repeat seeds (a cross
+// campaign) and no oracle memo was supplied, a fresh memo, so the
 // policy-independent oracle leg runs once per seed.
-func SweepObserved(ctx context.Context, cells []Cell, opt Options, parallelism int, so *SweepObs) ([]Result, []Finding, error) {
-	runner := &harness.Runner{Parallelism: parallelism}
-	var seqBase uint64
-	if so != nil {
-		runner.Meter = so.Meter
-		if so.Ledger != nil {
-			seqBase = so.Ledger.ReserveSeq(len(cells))
-		}
-		if so.CollectMetrics {
-			opt.MetricsSink = so.Sink
-		}
+func (a Campaign) Runner(cells []campaign.Cell, sink func(*obs.Snapshot)) func(campaign.Cell) (Result, string) {
+	opt := a.Options
+	if sink != nil {
+		opt.MetricsSink = sink
 	}
-	if opt.Oracle == nil && seedsRepeat(cells) {
+	if opt.Oracle == nil && campaign.SeedsRepeat(cells) {
 		opt.Oracle = NewOracleMemo(0)
 	}
-	results := make([]Result, len(cells))
-	var (
-		mu       sync.Mutex
-		findings []Finding
-	)
-	err := runner.Do(ctx, len(cells), func(ctx context.Context, i int) error {
-		if ctx.Err() != nil {
-			return nil // budget expired while queued: leave the cell empty
-		}
-		c := cells[i]
+	return func(c campaign.Cell) (Result, string) {
 		o := opt
-		o.Policy = c.Policy
-		o.Tamper = c.Tamper
-		o.TamperSite = c.Site
-		start := time.Now()
-		res, src := CheckSeed(c.Seed, o)
-		results[i] = res
-		if so != nil && so.Ledger != nil {
-			so.Ledger.Emit(telemetry.Record{
-				Seq:       seqBase + uint64(i),
-				Kind:      "fuzz",
-				Policy:    c.Policy.String(),
-				Seed:      c.Seed,
-				Tamper:    c.Tamper,
-				Site:      string(res.Site),
-				Verdict:   string(res.Verdict),
-				SimCycles: res.Cycles,
-				Insts:     res.Insts,
-				HostNs:    time.Since(start).Nanoseconds(),
-				Worker:    telemetry.Worker(ctx),
-				Cached:    res.Cached,
-			})
-		}
-		if bad(res.Verdict) {
-			mu.Lock()
-			findings = append(findings, Finding{Result: res, Source: src})
-			mu.Unlock()
-		}
-		return nil
-	})
-	// Cells the budget (or a fail-fast cancel) never ran get explicit
-	// skipped records: without them a budget-expired ledger has silent
-	// sequence holes, indistinguishable from a truncated file — and resume
-	// could not tell skipped from done.
-	if so != nil && so.Ledger != nil {
-		for i, r := range results {
-			if r.Verdict != "" {
-				continue
-			}
-			c := cells[i]
-			so.Ledger.Emit(telemetry.Record{
-				Seq:     seqBase + uint64(i),
-				Kind:    "fuzz",
-				Policy:  c.Policy.String(),
-				Seed:    c.Seed,
-				Tamper:  c.Tamper,
-				Site:    string(c.EffectiveSite()),
-				Verdict: telemetry.VerdictSkipped,
-			})
-		}
+		o.Policy, o.Tamper, o.TamperSite = c.Policy, c.Tamper, TamperSite(c.Site)
+		return CheckSeed(c.Seed, o)
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i].Result, findings[j].Result
-		if a.Seed != b.Seed {
-			return a.Seed < b.Seed
-		}
-		return a.Policy.String() < b.Policy.String()
-	})
-	return results, findings, err
 }
 
-// seedsRepeat reports whether any seed appears in more than one cell — the
-// shape under which an oracle memo pays for itself.
-func seedsRepeat(cells []Cell) bool {
-	seen := make(map[int64]bool, len(cells))
-	for _, c := range cells {
-		if seen[c.Seed] {
-			return true
+// Outcome renders a result's ledger fields.
+func (Campaign) Outcome(r Result) telemetry.Record {
+	return telemetry.Record{Verdict: string(r.Verdict), SimCycles: r.Cycles, Insts: r.Insts, Cached: r.Cached}
+}
+
+// IsFinding reports whether a verdict string is a finding.
+func (Campaign) IsFinding(v string) bool { return IsFinding(Verdict(v)) }
+
+// ReproName is the file name a finding is recorded under:
+// seed<N>-<policy>.repro, with -tamper for an entry-site tamper and
+// -tamper-<site> for every other site, so one campaign's findings at
+// different sites never overwrite each other.
+func ReproName(r Result) string {
+	name := fmt.Sprintf("seed%d-%s", r.Seed, r.Policy)
+	if r.Tamper {
+		name += "-tamper"
+		if r.Site != "" && r.Site != SiteEntry {
+			name += "-" + string(r.Site)
 		}
-		seen[c.Seed] = true
 	}
-	return false
+	return name + ".repro"
 }

@@ -165,3 +165,33 @@ func TestTamperSiteReproRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestReproName pins finding file names: every tamper site records under its
+// own name, so one campaign's findings for a seed and policy never overwrite
+// each other. Entry and data keep their historical names.
+func TestReproName(t *testing.T) {
+	res := Result{Seed: 7, Policy: policy.ThenCommit}
+	want := map[TamperSite]string{
+		SiteEntry: "seed7-authen-then-commit-tamper.repro",
+		SiteData:  "seed7-authen-then-commit-tamper-data.repro",
+		SiteMac:   "seed7-authen-then-commit-tamper-mac.repro",
+		SiteCtr:   "seed7-authen-then-commit-tamper-ctr.repro",
+		SiteTree:  "seed7-authen-then-commit-tamper-tree.repro",
+	}
+	if got := ReproName(res); got != "seed7-authen-then-commit.repro" {
+		t.Errorf("untampered finding named %q", got)
+	}
+	seen := map[string]TamperSite{}
+	for _, site := range Sites() {
+		r := res
+		r.Tamper, r.Site = true, site
+		got := ReproName(r)
+		if got != want[site] {
+			t.Errorf("site %s: named %q, want %q", site, got, want[site])
+		}
+		if prev, dup := seen[got]; dup {
+			t.Errorf("sites %s and %s share the name %q", prev, site, got)
+		}
+		seen[got] = site
+	}
+}

@@ -8,13 +8,13 @@ import (
 	"authpoint/internal/telemetry"
 )
 
-// Do runs fn(i) for i in [0, n) on the runner's worker pool, with the same
-// fail-fast semantics as RunAll: on the first error the context is
-// cancelled, indexes not yet dispatched are skipped, and the returned error
-// is deterministically the lowest-index failure (cancellation fallout on
-// skipped indexes never wins). With no failures it returns ctx's error, if
-// any. The differential fuzzer batches seed checks through this, so a fuzz
-// sweep shares the sweep engine's pool sizing and cancellation behaviour.
+// Do runs fn(i) for i in [0, n) on the runner's worker pool — the one pool
+// RunAll and the campaign engine (campaign.Run) both dispatch through. On
+// the first error the context is cancelled, indexes not yet dispatched are
+// skipped, and the returned error is deterministically the lowest-index
+// failure (cancellation fallout on skipped indexes never wins). With no
+// failures it returns ctx's error, if any. Each call's context carries its
+// worker index (telemetry.Worker).
 func (r *Runner) Do(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if ctx == nil {
 		ctx = context.Background()

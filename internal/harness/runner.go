@@ -126,19 +126,9 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	out := make([]Outcome, len(specs))
 	for i := range out {
 		out[i] = Outcome{Spec: specs[i], Err: errNotRun, Index: i}
-	}
-	n := r.workers()
-	if n > len(specs) {
-		n = len(specs)
-	}
-	if n < 1 {
-		n = 1
 	}
 
 	// Reserve the whole batch's sequence numbers up front so seq follows
@@ -147,79 +137,47 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Outcome, error) {
 	if r.Ledger != nil {
 		seqBase = r.Ledger.ReserveSeq(len(specs))
 	}
-	if r.Meter != nil {
-		r.Meter.AddTotal(len(specs))
-	}
 
 	var (
-		mu          sync.Mutex
-		done        int
-		firstErr    error
-		firstErrIdx = -1
+		mu   sync.Mutex
+		done int
 	)
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		worker := i
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				o := r.runOne(ctx, specs[idx])
-				o.Index = idx
-				if r.Ledger != nil {
-					r.Ledger.Emit(benchRecord(seqBase+uint64(idx), worker, o))
-				}
-				if r.Meter != nil {
-					r.Meter.Tick(1)
-				}
-				mu.Lock()
-				out[idx] = o
-				done++
-				// Cancellation errors on skipped cells are fallout, not the
-				// failure itself; only genuine cell errors win fail-fast.
-				if o.Err != nil && !errors.Is(o.Err, context.Canceled) &&
-					(firstErrIdx < 0 || idx < firstErrIdx) {
-					firstErr, firstErrIdx = o.Err, idx
-					cancel()
-				}
-				// Invoked under the runner lock so callbacks are serial and
-				// see done counts in order; callbacks must not re-enter the
-				// Runner.
-				if r.OnProgress != nil {
-					r.OnProgress(Progress{Done: done, Total: len(specs), Outcome: o})
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for idx := range specs {
-		select {
-		case idxCh <- idx:
-		case <-ctx.Done():
-			break feed
+	err := r.Do(ctx, len(specs), func(ctx context.Context, idx int) error {
+		o := r.runOne(ctx, specs[idx])
+		o.Index = idx
+		if r.Ledger != nil {
+			r.Ledger.Emit(benchRecord(seqBase+uint64(idx), telemetry.Worker(ctx), o))
 		}
-	}
-	close(idxCh)
-	wg.Wait()
+		mu.Lock()
+		defer mu.Unlock()
+		out[idx] = o
+		done++
+		// Invoked under the runner lock so callbacks are serial and see done
+		// counts in order; callbacks must not re-enter the Runner.
+		if r.OnProgress != nil {
+			r.OnProgress(Progress{Done: done, Total: len(specs), Outcome: o})
+		}
+		return o.Err
+	})
 
 	// Cells never dispatched (fail-fast or external cancel) carry the
-	// context error so callers can tell them from successes. They still get
-	// a ledger record — explicitly marked skipped — so a budget-expired
-	// ledger has no silent sequence holes and doubles as a resume checkpoint.
+	// context error — Canceled after a fail-fast — so callers can tell them
+	// from successes. They still get a ledger record, explicitly marked
+	// skipped, so a budget-expired ledger has no silent sequence holes and
+	// doubles as a resume checkpoint.
+	notRun := ctx.Err()
+	if notRun == nil {
+		notRun = context.Canceled
+	}
 	for i := range out {
 		if out[i].Err == errNotRun {
-			out[i].Err = ctx.Err()
+			out[i].Err = notRun
 			if r.Ledger != nil {
 				r.Ledger.Emit(benchRecord(seqBase+uint64(i), 0, out[i]))
 			}
 		}
 	}
-	if firstErr != nil {
-		return out, firstErr
-	}
-	return out, ctx.Err()
+	return out, err
 }
 
 // benchRecord flattens one RunAll outcome into a ledger record.
@@ -270,10 +228,9 @@ func (r *Runner) runOne(ctx context.Context, s Spec) Outcome {
 // running it at most once per (workload, config, windows) key per Runner.
 // The reported cached flag is true when the measurement already existed.
 func (r *Runner) baseline(s Spec) (Measurement, bool, error) {
-	// Zero both the policy and the deprecated scheme shim so a baseline
-	// expressed either way lands on the same memo entry.
-	s.Config.Policy = policy.ControlPoint{}
-	s.Config.Scheme = sim.SchemeBaseline
+	// Zero the policy so every baseline spelling lands on the same memo
+	// entry.
+	s.Config.Policy = policy.Baseline
 	key := baseKey{w: s.Workload, cfg: s.Config, warmup: s.WarmupInsts, measure: s.MeasureInsts,
 		metrics: s.Metrics}
 	// Normalize defaulted windows so explicit-default and zero specs share
@@ -311,7 +268,6 @@ func (r *Runner) NormalizedIPC(w workload.Workload, cfg sim.Config, p policy.Con
 		return 0, err
 	}
 	cfg.Policy = p
-	cfg.Scheme = sim.SchemeBaseline
 	ms, err := Measure(Spec{Workload: w, Config: cfg, WarmupInsts: warmup, MeasureInsts: measure})
 	if err != nil {
 		return 0, err

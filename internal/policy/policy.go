@@ -404,20 +404,19 @@ func Lattice() []ControlPoint {
 	return out
 }
 
-// ParseSet resolves a policy-set flag value shared by the fuzzing and
-// verification CLIs: "full" is the 95-point FullLattice, "lattice" and "ci"
-// are the 27-point Lattice (the CI smoke set — all singles and pairs,
-// including the pac/fpac dimensions, cheap enough to sweep hundreds of seeds
-// on every push), "pac" is the budgeted pointer-authentication slice (both
-// PAC modes alone and composed with representative gates), and anything else
-// is a comma-separated list of control-point names fed through Parse.
-func ParseSet(s string) ([]ControlPoint, error) {
-	switch s {
-	case "full":
-		return FullLattice(), nil
-	case "lattice", "ci":
-		return Lattice(), nil
-	case "pac":
+// sets are the named policy sets ParseSet accepts, in help order.
+var sets = []struct {
+	name, note string
+	points     func() []ControlPoint
+}{
+	{"full", "", FullLattice},
+	{"lattice", "", Lattice},
+	// The CI smoke set: all singles and pairs, including the pac/fpac
+	// dimensions, cheap enough to sweep hundreds of seeds on every push.
+	{"ci", "the CI smoke set", Lattice},
+	// The budgeted pointer-authentication slice: both PAC modes alone and
+	// composed with representative gates.
+	{"pac", "", func() []ControlPoint {
 		return []ControlPoint{
 			ThenPAC,
 			ThenFPAC,
@@ -426,7 +425,20 @@ func ParseSet(s string) ([]ControlPoint, error) {
 			Compose(ThenIssue, ThenFPAC),
 			Compose(CommitPlusFetch, ThenFPAC),
 			Compose(CommitPlusObfuscation, ThenPAC),
-		}, nil
+		}
+	}},
+}
+
+// ParseSet resolves a policy-set flag value shared by the fuzzing and
+// verification CLIs: one of the named sets SetHelp lists ("full" is the
+// FullLattice, "lattice" and "ci" the Lattice, "pac" the
+// pointer-authentication slice), or else a comma-separated list of
+// control-point names fed through Parse.
+func ParseSet(s string) ([]ControlPoint, error) {
+	for _, set := range sets {
+		if s == set.name {
+			return set.points(), nil
+		}
 	}
 	var out []ControlPoint
 	for _, name := range strings.Split(s, ",") {
@@ -437,6 +449,22 @@ func ParseSet(s string) ([]ControlPoint, error) {
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// SetHelp renders the -policies flag help from the named sets and their
+// live sizes.
+func SetHelp() string {
+	var b strings.Builder
+	b.WriteString("policy set: ")
+	for _, set := range sets {
+		fmt.Fprintf(&b, "%s (%d points", set.name, len(set.points()))
+		if set.note != "" {
+			b.WriteString(", " + set.note)
+		}
+		b.WriteString("), ")
+	}
+	b.WriteString("or comma-separated names (e.g. baseline,authen-then-commit+fetch)")
+	return b.String()
 }
 
 // FullLattice returns every non-baseline point of the lattice: all non-empty

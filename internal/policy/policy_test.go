@@ -2,6 +2,8 @@ package policy
 
 import (
 	"encoding/json"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -270,5 +272,24 @@ func TestRegister(t *testing.T) {
 	}
 	if !found {
 		t.Error("Names() missing registered entry")
+	}
+}
+
+// TestSetHelpCounts pins the -policies help to the registry: every named set
+// is listed, with the size ParseSet actually returns.
+func TestSetHelpCounts(t *testing.T) {
+	help := SetHelp()
+	listed := regexp.MustCompile(`([a-z]+) \((\d+) points`).FindAllStringSubmatch(help, -1)
+	if len(listed) != len(sets) {
+		t.Fatalf("help lists %d sets, registry has %d: %q", len(listed), len(sets), help)
+	}
+	for _, m := range listed {
+		pts, err := ParseSet(m[1])
+		if err != nil {
+			t.Fatalf("listed set %q does not parse: %v", m[1], err)
+		}
+		if n, _ := strconv.Atoi(m[2]); n != len(pts) {
+			t.Errorf("help says %s has %d points, ParseSet returns %d", m[1], n, len(pts))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"authpoint/internal/policy"
 	"testing"
 
 	"authpoint/internal/asm"
@@ -31,7 +32,7 @@ func TestNextLinePrefetch(t *testing.T) {
 	run := func(pf bool) (Result, uint64) {
 		p := asm.MustAssemble(src)
 		cfg := DefaultConfig()
-		cfg.Scheme = SchemeBaseline
+		cfg.Policy = policy.Baseline
 		cfg.Mem.NextLinePrefetch = pf
 		m, err := NewMachine(cfg, p)
 		if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"authpoint/internal/policy"
 	"maps"
 	"slices"
 	"sync"
@@ -55,12 +56,12 @@ func TestProgramImmutable(t *testing.T) {
 	snap := snapshotProg(p)
 
 	var wg sync.WaitGroup
-	for _, scheme := range []Scheme{SchemeBaseline, SchemeThenCommit, SchemeCommitPlusObfuscation} {
+	for _, scheme := range []policy.ControlPoint{policy.Baseline, policy.ThenCommit, policy.CommitPlusObfuscation} {
 		wg.Add(1)
-		go func(scheme Scheme) {
+		go func(scheme policy.ControlPoint) {
 			defer wg.Done()
 			cfg := DefaultConfig()
-			cfg.Scheme = scheme
+			cfg.Policy = scheme
 			cfg.MaxInsts = 8_000
 			m, err := NewMachine(cfg, p)
 			if err != nil {

@@ -281,7 +281,7 @@ func (lf *LedgerFile) SortBySeq() {
 }
 
 // workerKey carries the worker index in a context, so campaign layers
-// (diffcheck.Sweep, contract.Sweep) can stamp records without threading an
+// (campaign.Run, harness.Runner.RunAll) can stamp records without threading an
 // index through every call signature.
 type workerKey struct{}
 

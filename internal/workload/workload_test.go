@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"authpoint/internal/policy"
 	"strings"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestAllWorkloadsRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := sim.DefaultConfig()
-			cfg.Scheme = sim.SchemeThenCommit
+			cfg.Policy = policy.ThenCommit
 			cfg.MaxInsts = 30_000
 			m, err := sim.NewMachine(cfg, p)
 			if err != nil {
