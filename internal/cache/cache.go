@@ -78,11 +78,16 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
 	c := &Cache{cfg: cfg, sets: sets}
+	// One backing array per table, sliced per set: a machine builds
+	// several caches with thousands of sets, and per-set allocations
+	// dominated its construction.
+	lines, order := make([]Line, sets*cfg.Ways), make([]int, sets*cfg.Ways)
 	c.lines = make([][]Line, sets)
 	c.order = make([][]int, sets)
 	for s := 0; s < sets; s++ {
-		c.lines[s] = make([]Line, cfg.Ways)
-		c.order[s] = make([]int, cfg.Ways)
+		lo, hi := s*cfg.Ways, (s+1)*cfg.Ways
+		c.lines[s] = lines[lo:hi:hi]
+		c.order[s] = order[lo:hi:hi]
 		for w := 0; w < cfg.Ways; w++ {
 			c.order[s][w] = w
 		}

@@ -18,6 +18,7 @@ package ctr
 
 import (
 	"fmt"
+	"slices"
 
 	"authpoint/internal/cryptoengine/aes"
 	"authpoint/internal/obs"
@@ -30,9 +31,56 @@ type Engine struct {
 	cipher   *aes.Cipher
 	lineSize int
 	counters map[uint64]uint64 // line address -> write counter
+	// implied holds the counters of lines sealed in bulk: a line inside one
+	// of these ranges with no entry in counters has the range's counter.
+	// This keeps the table O(written lines), not O(protected lines).
+	implied []impliedRange
 
 	sink  obs.Sink
 	clock func() uint64
+}
+
+type impliedRange struct{ start, end, ctr uint64 }
+
+// ImplyCounter sets the counter of every line in [start, end) that has no
+// counter of its own to ctr. The owner uses it for a region it sealed in
+// bulk at one counter value; Counter, SetCounter and encryption behave as if
+// each line's counter had been stored individually. Implied ranges must not
+// overlap; they are kept sorted, and a range adjoining another with the
+// same counter merges into it, so page-by-page calls over a region stay one
+// entry.
+func (e *Engine) ImplyCounter(start, end, ctr uint64) {
+	i := e.impliedAt(start)
+	if (i > 0 && e.implied[i-1].end > start) || (i < len(e.implied) && e.implied[i].start < end) {
+		panic(fmt.Sprintf("ctr: implied counter range [%#x,%#x) overlaps another", start, end))
+	}
+	joinPrev := i > 0 && e.implied[i-1].end == start && e.implied[i-1].ctr == ctr
+	joinNext := i < len(e.implied) && e.implied[i].start == end && e.implied[i].ctr == ctr
+	switch {
+	case joinPrev && joinNext:
+		e.implied[i-1].end = e.implied[i].end
+		e.implied = slices.Delete(e.implied, i, i+1)
+	case joinPrev:
+		e.implied[i-1].end = end
+	case joinNext:
+		e.implied[i].start = start
+	default:
+		e.implied = slices.Insert(e.implied, i, impliedRange{start, end, ctr})
+	}
+}
+
+// impliedAt returns the index of the first implied range ending after addr.
+func (e *Engine) impliedAt(addr uint64) int {
+	lo, hi := 0, len(e.implied)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if e.implied[mid].end > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // SetObserver attaches an event sink. The engine is functional (untimed), so
@@ -74,7 +122,15 @@ func (e *Engine) LineSize() int { return e.lineSize }
 func (e *Engine) PadChunks() int { return e.lineSize / aes.BlockSize }
 
 // Counter returns the current write counter for the line at addr.
-func (e *Engine) Counter(addr uint64) uint64 { return e.counters[addr] }
+func (e *Engine) Counter(addr uint64) uint64 {
+	if c, ok := e.counters[addr]; ok {
+		return c
+	}
+	if i := e.impliedAt(addr); i < len(e.implied) && e.implied[i].start <= addr {
+		return e.implied[i].ctr
+	}
+	return 0
+}
 
 // SetCounter overrides a line counter (used by replay-attack tests that roll
 // a counter back).
@@ -118,9 +174,24 @@ func (e *Engine) EncryptLineInto(dst []byte, addr uint64, plaintext []byte) erro
 	if len(plaintext) != e.lineSize {
 		return fmt.Errorf("ctr: plaintext length %d != line size %d", len(plaintext), e.lineSize)
 	}
-	e.counters[addr]++
+	ctr := e.Counter(addr) + 1
+	e.counters[addr] = ctr
 	e.emit(addr, 0)
-	e.padInto(dst, addr, e.counters[addr])
+	return e.SealInto(dst, addr, ctr, plaintext)
+}
+
+// SealInto encrypts plaintext for the line at addr under the explicit
+// counter ctr into dst (lineSize bytes, not aliasing plaintext). It is the
+// pure core of EncryptLineInto: it neither reads nor bumps the counter table
+// and emits no event, so a line's at-rest form can be computed ahead of use.
+func (e *Engine) SealInto(dst []byte, addr, ctr uint64, plaintext []byte) error {
+	if len(plaintext) != e.lineSize {
+		return fmt.Errorf("ctr: plaintext length %d != line size %d", len(plaintext), e.lineSize)
+	}
+	if len(dst) != e.lineSize {
+		return fmt.Errorf("ctr: ciphertext buffer length %d != line size %d", len(dst), e.lineSize)
+	}
+	e.padInto(dst, addr, ctr)
 	xorInto(dst, plaintext)
 	return nil
 }
@@ -142,7 +213,7 @@ func (e *Engine) DecryptLineInto(dst []byte, addr uint64, ciphertext []byte) err
 		return fmt.Errorf("ctr: ciphertext length %d != line size %d", len(ciphertext), e.lineSize)
 	}
 	e.emit(addr, 1)
-	e.padInto(dst, addr, e.counters[addr])
+	e.padInto(dst, addr, e.Counter(addr))
 	xorInto(dst, ciphertext)
 	return nil
 }

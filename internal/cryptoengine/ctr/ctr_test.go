@@ -183,3 +183,77 @@ func TestSetCounter(t *testing.T) {
 		t.Fatalf("counter %d want 42", e.Counter(0x100))
 	}
 }
+
+// An implied range counter reads like individually stored counters: the
+// first write bumps from it, SetCounter overrides it per line, and lines
+// outside the range keep counter zero.
+func TestImplyCounter(t *testing.T) {
+	e := newEngine(t, 32)
+	e.ImplyCounter(0x100, 0x200, 1)
+	for _, c := range []struct{ addr, want uint64 }{{0x0e0, 0}, {0x100, 1}, {0x1e0, 1}, {0x200, 0}} {
+		if got := e.Counter(c.addr); got != c.want {
+			t.Errorf("Counter(%#x) = %d, want %d", c.addr, got, c.want)
+		}
+	}
+	pt := bytes.Repeat([]byte{3}, 32)
+	ct, _ := e.EncryptLine(0x120, pt)
+	if e.Counter(0x120) != 2 || e.Counter(0x140) != 1 {
+		t.Fatalf("after write: counters %d, %d; want 2, 1", e.Counter(0x120), e.Counter(0x140))
+	}
+	if dec, _ := e.DecryptLineWithCounter(0x120, 2, ct); !bytes.Equal(dec, pt) {
+		t.Fatal("write from an implied counter did not encrypt under counter 2")
+	}
+	e.SetCounter(0x140, 0)
+	if e.Counter(0x140) != 0 {
+		t.Fatal("SetCounter did not override the implied counter")
+	}
+}
+
+// Implied ranges stay sorted and merge with same-counter neighbours, in
+// whatever order they are declared; overlaps are refused.
+func TestImplyCounterRanges(t *testing.T) {
+	e := newEngine(t, 32)
+	e.ImplyCounter(0x300, 0x400, 2)
+	e.ImplyCounter(0x100, 0x200, 1)
+	e.ImplyCounter(0x200, 0x300, 1) // joins the previous range
+	e.ImplyCounter(0x500, 0x600, 2)
+	e.ImplyCounter(0x400, 0x500, 2) // bridges two ranges
+	if len(e.implied) != 2 {
+		t.Fatalf("implied ranges %v, want two after merging", e.implied)
+	}
+	for _, c := range []struct{ addr, want uint64 }{
+		{0x0e0, 0}, {0x100, 1}, {0x2e0, 1}, {0x300, 2}, {0x4a0, 2}, {0x5e0, 2}, {0x600, 0},
+	} {
+		if got := e.Counter(c.addr); got != c.want {
+			t.Errorf("Counter(%#x) = %d, want %d", c.addr, got, c.want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("overlapping implied range accepted")
+		}
+	}()
+	e.ImplyCounter(0x1e0, 0x220, 3)
+}
+
+// SealInto is EncryptLineInto at an explicit counter, with no counter
+// side effect.
+func TestSealInto(t *testing.T) {
+	e := newEngine(t, 32)
+	pt := bytes.Repeat([]byte{9}, 32)
+	got := make([]byte, 32)
+	if err := e.SealInto(got, 0x40, 7, pt); err != nil {
+		t.Fatal(err)
+	}
+	if e.Counter(0x40) != 0 {
+		t.Fatal("SealInto touched the counter table")
+	}
+	e.SetCounter(0x40, 6)
+	want, _ := e.EncryptLine(0x40, pt)
+	if !bytes.Equal(got, want) {
+		t.Fatal("SealInto differs from EncryptLine at the same counter")
+	}
+	if err := e.SealInto(got[:16], 0x40, 7, pt); err == nil {
+		t.Fatal("short destination accepted")
+	}
+}

@@ -1,6 +1,6 @@
 // Package hmac implements HMAC-SHA256 (RFC 2104 / FIPS 198) over the
-// from-scratch SHA-256 in this repository, plus the truncated-MAC helper the
-// secure processor uses: the paper's reference design stores a 64-bit
+// from-scratch SHA-256 in this repository, with truncated-MAC verification
+// for the secure processor: the paper's reference design stores a 64-bit
 // truncated HMAC alongside every protected cache line (Section 5.2.3).
 package hmac
 
@@ -13,10 +13,18 @@ import (
 // Size is the full MAC size in bytes before truncation.
 const Size = sha256.Size
 
-// Mac computes HMAC-SHA256(key, msg). It does not allocate: the simulated
-// authentication engine MACs every external line fetch, so this sits on the
-// simulator's hot path.
-func Mac(key, msg []byte) [Size]byte {
+// Key is an HMAC-SHA256 key with its padded inner and outer key blocks
+// already absorbed (the precomputation of RFC 2104 §4). A MAC under a Key
+// starts from the saved states, so an 80-byte line MAC costs three SHA-256
+// compressions instead of five. A Key is immutable once built and safe for
+// concurrent use; the zero value is not usable.
+type Key struct {
+	inner, outer sha256.Digest
+}
+
+// NewKey precomputes the inner and outer hash states for key. Keys longer
+// than the SHA-256 block are hashed first, as RFC 2104 specifies.
+func NewKey(key []byte) Key {
 	var k [sha256.BlockSize]byte
 	if len(key) > sha256.BlockSize {
 		sum := sha256.Sum256(key)
@@ -29,40 +37,43 @@ func Mac(key, msg []byte) [Size]byte {
 		ipad[i] = k[i] ^ 0x36
 		opad[i] = k[i] ^ 0x5c
 	}
-	var d sha256.Digest
-	d.Reset()
-	d.Write(ipad[:])
+	var s Key
+	s.inner.Reset()
+	s.inner.Write(ipad[:])
+	s.outer.Reset()
+	s.outer.Write(opad[:])
+	return s
+}
+
+// Mac computes HMAC-SHA256 of msg under k. It does not allocate: the
+// simulated authentication engine MACs every external line fetch.
+func (k *Key) Mac(msg []byte) [Size]byte {
+	d := k.inner
 	d.Write(msg)
-	var innerSum [sha256.Size]byte
+	var innerSum [Size]byte
 	d.SumInto(&innerSum)
-	d.Reset()
-	d.Write(opad[:])
+	d = k.outer
 	d.Write(innerSum[:])
 	var out [Size]byte
 	d.SumInto(&out)
 	return out
 }
 
-// Truncated computes the first n bytes of HMAC-SHA256(key, msg). The secure
-// processor default is n=8 (a 64-bit MAC).
-func Truncated(key, msg []byte, n int) []byte {
-	if n <= 0 || n > Size {
-		panic("hmac: invalid truncation length")
-	}
-	m := Mac(key, msg)
-	out := make([]byte, n)
-	copy(out, m[:n])
-	return out
-}
-
-// Verify reports whether mac equals the truncated HMAC of msg under key,
-// in constant time. Like Mac, it does not allocate.
-func Verify(key, msg, mac []byte) bool {
+// Verify reports whether mac equals the truncated HMAC of msg under k, in
+// constant time. Like Mac, it does not allocate.
+func (k *Key) Verify(msg, mac []byte) bool {
 	if len(mac) == 0 || len(mac) > Size {
 		return false
 	}
-	want := Mac(key, msg)
+	want := k.Mac(msg)
 	return subtle.ConstantTimeCompare(want[:len(mac)], mac) == 1
+}
+
+// Mac computes HMAC-SHA256(key, msg) without allocating. Callers that MAC
+// repeatedly under one key should build a Key once instead.
+func Mac(key, msg []byte) [Size]byte {
+	k := NewKey(key)
+	return k.Mac(msg)
 }
 
 // PaddedBlocks reports how many hash-unit invocations authenticating an

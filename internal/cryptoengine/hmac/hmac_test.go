@@ -66,64 +66,55 @@ func TestAgainstStdlib(t *testing.T) {
 	}
 }
 
+// A truncated 64-bit line MAC verifies, and any single-bit tamper of the
+// message or the MAC is rejected.
 func TestTruncatedVerify(t *testing.T) {
-	key := []byte("processor-integrity-key")
+	k := NewKey([]byte("processor-integrity-key"))
 	msg := []byte("a 64-byte cache line of protected data.........................")
-	mac := Truncated(key, msg, 8)
-	if len(mac) != 8 {
-		t.Fatalf("mac length %d", len(mac))
-	}
-	if !Verify(key, msg, mac) {
+	full := k.Mac(msg)
+	mac := full[:8]
+	if !k.Verify(msg, mac) {
 		t.Fatal("valid MAC rejected")
 	}
-	// Any single-bit tamper in the message must be detected.
 	for bit := 0; bit < len(msg)*8; bit += 37 {
 		tampered := append([]byte(nil), msg...)
 		tampered[bit/8] ^= 1 << (bit % 8)
-		if Verify(key, tampered, mac) {
+		if k.Verify(tampered, mac) {
 			t.Fatalf("tampered bit %d accepted", bit)
 		}
 	}
-	// Tampered MAC must be rejected.
 	badMac := append([]byte(nil), mac...)
 	badMac[0] ^= 1
-	if Verify(key, msg, badMac) {
+	if k.Verify(msg, badMac) {
 		t.Fatal("tampered MAC accepted")
 	}
 }
 
 func TestVerifyEdgeCases(t *testing.T) {
-	if Verify([]byte("k"), []byte("m"), nil) {
+	k := NewKey([]byte("k"))
+	if k.Verify([]byte("m"), nil) {
 		t.Error("empty MAC accepted")
 	}
-	if Verify([]byte("k"), []byte("m"), make([]byte, 33)) {
+	if k.Verify([]byte("m"), make([]byte, 33)) {
 		t.Error("oversize MAC accepted")
 	}
 }
 
-func TestTruncatedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Truncated([]byte("k"), []byte("m"), 0)
-}
-
 // Property: verification succeeds iff the message is untampered.
 func TestQuickTamperDetection(t *testing.T) {
-	key := []byte("quick-key")
+	k := NewKey([]byte("quick-key"))
 	f := func(msg []byte, flipByte uint16, flipBit uint8) bool {
 		if len(msg) == 0 {
 			return true
 		}
-		mac := Truncated(key, msg, 8)
-		if !Verify(key, msg, mac) {
+		full := k.Mac(msg)
+		mac := full[:8]
+		if !k.Verify(msg, mac) {
 			return false
 		}
 		tampered := append([]byte(nil), msg...)
 		tampered[int(flipByte)%len(msg)] ^= 1 << (flipBit % 8)
-		return !Verify(key, tampered, mac)
+		return !k.Verify(tampered, mac)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -139,4 +130,72 @@ func TestPaddedBlocksMatchesLineCost(t *testing.T) {
 	if PaddedBlocks(32) != 1 {
 		t.Errorf("PaddedBlocks(32) = %d", PaddedBlocks(32))
 	}
+}
+
+// Property: a precomputed Key MACs exactly like crypto/hmac, for keys on
+// both sides of the block size (longer keys are hashed first) and message
+// lengths 0–200.
+func TestKeyAgainstStdlib(t *testing.T) {
+	f := func(key []byte, keyPad uint8, msgLen uint8, seed int64) bool {
+		// Stretch some keys past the 64-byte block so the hash-first rule
+		// is exercised, not just short keys.
+		key = append(key, bytes.Repeat([]byte{keyPad}, int(keyPad)%100)...)
+		msg := make([]byte, int(msgLen)%201)
+		rand.New(rand.NewSource(seed)).Read(msg)
+		k := NewKey(key)
+		got := k.Mac(msg)
+		std := stdhmac.New(stdsha.New, key)
+		std.Write(msg)
+		want := std.Sum(nil)
+		return bytes.Equal(got[:], want) && k.Verify(msg, want[:8]) && got == Mac(key, msg)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	long := NewKey(bytes.Repeat([]byte{0xaa}, 131))
+	for n := 0; n <= 200; n++ {
+		msg := bytes.Repeat([]byte{byte(n)}, n)
+		std := stdhmac.New(stdsha.New, bytes.Repeat([]byte{0xaa}, 131))
+		std.Write(msg)
+		if got := long.Mac(msg); !bytes.Equal(got[:], std.Sum(nil)) {
+			t.Fatalf("long key, msg len %d: mismatch with crypto/hmac", n)
+		}
+	}
+}
+
+// lineMsg is the secure-memory controller's MAC message for one 64-byte
+// line: 8-byte address, 8-byte counter, 64 bytes of ciphertext.
+var lineMsg = bytes.Repeat([]byte{0x5a}, 80)
+
+// TestKeyMacAllocs pins the keyed per-line MAC as allocation-free.
+func TestKeyMacAllocs(t *testing.T) {
+	k := NewKey([]byte("authpoint-integrity--key-256bit!"))
+	var sink [Size]byte
+	if n := testing.AllocsPerRun(100, func() { sink = k.Mac(lineMsg) }); n != 0 {
+		t.Errorf("Key.Mac allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = k.Verify(lineMsg, sink[:8]) }); n != 0 {
+		t.Errorf("Key.Verify allocates %v times per call", n)
+	}
+}
+
+// BenchmarkLineMac measures one 80-byte line MAC under a precomputed Key
+// (three SHA-256 compressions) and through hmac.Mac (five).
+func BenchmarkLineMac(b *testing.B) {
+	key := []byte("authpoint-integrity--key-256bit!")
+	var sink [Size]byte
+	b.Run("keyed", func(b *testing.B) {
+		k := NewKey(key)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = k.Mac(lineMsg)
+		}
+	})
+	b.Run("unkeyed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink = Mac(key, lineMsg)
+		}
+	})
+	_ = sink
 }

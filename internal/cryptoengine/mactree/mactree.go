@@ -31,7 +31,7 @@ type NodeID struct {
 // Tree is an m-ary MAC tree. Node storage models the untrusted external
 // memory (it can be tampered with); only the root digest is trusted.
 type Tree struct {
-	key       []byte
+	key       hmac.Key
 	arity     int
 	macSize   int
 	numLeaves int
@@ -40,10 +40,39 @@ type Tree struct {
 	// ceil(prev/arity) digests.
 	levels [][]byte
 	root   []byte
+	// msg is the reusable MAC-message buffer (a Tree is not safe for
+	// concurrent use).
+	msg []byte
 }
 
 // New builds an empty tree (all-zero leaves) for numLeaves lines.
 func New(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
+	t, err := alloc(key, numLeaves, arity, macSize)
+	if err != nil {
+		return nil, err
+	}
+	t.rebuild()
+	return t, nil
+}
+
+// Build builds a tree whose leaf i holds leafData(i), the same tree that
+// New followed by SetLeaf(i, leafData(i)) for every leaf produces. It sets
+// every leaf digest first and then computes each internal node once, bottom
+// up: O(n) MACs instead of SetLeaf's O(n·levels). leafData is called once
+// per leaf, in index order, and its result is not retained.
+func Build(key []byte, numLeaves, arity, macSize int, leafData func(i int) []byte) (*Tree, error) {
+	t, err := alloc(key, numLeaves, arity, macSize)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < numLeaves; i++ {
+		t.leafDigestInto(t.node(0, i), i, leafData(i))
+	}
+	t.rebuild()
+	return t, nil
+}
+
+func alloc(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
 	if numLeaves <= 0 {
 		return nil, fmt.Errorf("mactree: numLeaves must be positive, got %d", numLeaves)
 	}
@@ -53,7 +82,8 @@ func New(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
 	if macSize <= 0 || macSize > hmac.Size {
 		return nil, fmt.Errorf("mactree: macSize must be in 1..%d, got %d", hmac.Size, macSize)
 	}
-	t := &Tree{key: append([]byte(nil), key...), arity: arity, macSize: macSize, numLeaves: numLeaves}
+	t := &Tree{key: hmac.NewKey(key), arity: arity, macSize: macSize, numLeaves: numLeaves,
+		root: make([]byte, macSize)}
 	n := numLeaves
 	for {
 		t.levels = append(t.levels, make([]byte, n*macSize))
@@ -62,14 +92,17 @@ func New(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
 		}
 		n = (n + arity - 1) / arity
 	}
-	// Initialize all levels bottom-up from the zero leaves.
+	return t, nil
+}
+
+// rebuild recomputes every internal node and the root from the leaves.
+func (t *Tree) rebuild() {
 	for l := 1; l < len(t.levels); l++ {
 		for i := 0; i < t.nodeCount(l); i++ {
 			t.recomputeNode(l, i)
 		}
 	}
-	t.root = t.macOfChildren(len(t.levels)-1, 0, 1)
-	return t, nil
+	t.macOfChildrenInto(t.root, len(t.levels)-1, 0, 1)
 }
 
 // Levels returns the number of stored levels (leaf level included, trusted
@@ -97,41 +130,50 @@ func (t *Tree) Node(id NodeID) []byte {
 	return append([]byte(nil), t.node(id.Level, id.Index)...)
 }
 
-// leafDigest computes the digest of raw leaf data for leaf i. The leaf index
-// is mixed in so identical lines at different addresses have distinct leaves.
-func (t *Tree) leafDigest(i int, leafData []byte) []byte {
-	msg := make([]byte, 8+len(leafData))
-	for b := 0; b < 8; b++ {
-		msg[b] = byte(uint64(i) >> (8 * b))
-	}
-	copy(msg[8:], leafData)
-	return hmac.Truncated(t.key, msg, t.macSize)
+// mac writes the truncated MAC of msg into dst (macSize bytes).
+func (t *Tree) mac(dst, msg []byte) {
+	sum := t.key.Mac(msg)
+	copy(dst, sum[:t.macSize])
 }
 
-// macOfChildren computes the digest of the node at (level,index) from its
-// children stored at level-1 (or, for level == Levels(), from the top stored
-// level — that is the root computation).
-func (t *Tree) macOfChildren(childLevel, firstChild, nChildren int) []byte {
-	msg := make([]byte, 0, nChildren*t.macSize+8)
-	var hdr [8]byte
+// leafDigestInto computes the digest of raw leaf data for leaf i into dst.
+// The leaf index is mixed in so identical lines at different addresses have
+// distinct leaves.
+func (t *Tree) leafDigestInto(dst []byte, i int, leafData []byte) {
+	msg := t.msg[:0]
+	for b := 0; b < 8; b++ {
+		msg = append(msg, byte(uint64(i)>>(8*b)))
+	}
+	msg = append(msg, leafData...)
+	t.msg = msg
+	t.mac(dst, msg)
+}
+
+// macOfChildrenInto computes into dst the digest of the node whose children
+// are nodes firstChild..firstChild+nChildren-1 of childLevel (for childLevel
+// == Levels()-1 and one child, that is the root computation).
+func (t *Tree) macOfChildrenInto(dst []byte, childLevel, firstChild, nChildren int) {
+	msg := t.msg[:0]
 	v := uint64(childLevel)<<32 | uint64(firstChild)
 	for b := 0; b < 8; b++ {
-		hdr[b] = byte(v >> (8 * b))
+		msg = append(msg, byte(v>>(8*b)))
 	}
-	msg = append(msg, hdr[:]...)
-	for c := firstChild; c < firstChild+nChildren; c++ {
-		msg = append(msg, t.node(childLevel, c)...)
-	}
-	return hmac.Truncated(t.key, msg, t.macSize)
+	row := t.levels[childLevel]
+	msg = append(msg, row[firstChild*t.macSize:(firstChild+nChildren)*t.macSize]...)
+	t.msg = msg
+	t.mac(dst, msg)
+}
+
+// children returns the first child index and child count of (level, index).
+func (t *Tree) children(level, index int) (first, n int) {
+	first = index * t.arity
+	n = min(t.arity, t.nodeCount(level-1)-first)
+	return first, n
 }
 
 func (t *Tree) recomputeNode(level, index int) {
-	first := index * t.arity
-	n := t.arity
-	if first+n > t.nodeCount(level-1) {
-		n = t.nodeCount(level-1) - first
-	}
-	copy(t.node(level, index), t.macOfChildren(level-1, first, n))
+	first, n := t.children(level, index)
+	t.macOfChildrenInto(t.node(level, index), level-1, first, n)
 }
 
 // SetLeaf installs new leaf data for line i and updates the path to the
@@ -141,15 +183,16 @@ func (t *Tree) SetLeaf(i int, leafData []byte) ([]NodeID, error) {
 	if i < 0 || i >= t.numLeaves {
 		return nil, fmt.Errorf("mactree: leaf %d out of range [0,%d)", i, t.numLeaves)
 	}
-	copy(t.node(0, i), t.leafDigest(i, leafData))
-	path := []NodeID{{0, i}}
+	t.leafDigestInto(t.node(0, i), i, leafData)
+	path := make([]NodeID, 1, len(t.levels))
+	path[0] = NodeID{0, i}
 	idx := i
 	for l := 1; l < len(t.levels); l++ {
 		idx /= t.arity
 		t.recomputeNode(l, idx)
 		path = append(path, NodeID{l, idx})
 	}
-	t.root = t.macOfChildren(len(t.levels)-1, 0, 1)
+	t.macOfChildrenInto(t.root, len(t.levels)-1, 0, 1)
 	return path, nil
 }
 
@@ -167,7 +210,9 @@ func (t *Tree) VerifyLeaf(i int, leafData []byte, trusted func(NodeID) bool) (bo
 		return false, nil
 	}
 	var visited []NodeID
-	computed := t.leafDigest(i, leafData)
+	var buf [hmac.Size]byte
+	computed := buf[:t.macSize]
+	t.leafDigestInto(computed, i, leafData)
 	id := NodeID{0, i}
 	for {
 		visited = append(visited, id)
@@ -182,15 +227,12 @@ func (t *Tree) VerifyLeaf(i int, leafData []byte, trusted func(NodeID) bool) (bo
 		// sibling group.
 		if id.Level == len(t.levels)-1 {
 			// Parent is the trusted on-chip root.
-			return equal(t.macOfChildren(id.Level, 0, t.nodeCount(id.Level)), t.root), visited
+			t.macOfChildrenInto(computed, id.Level, 0, t.nodeCount(id.Level))
+			return equal(computed, t.root), visited
 		}
 		parent := NodeID{id.Level + 1, id.Index / t.arity}
-		first := parent.Index * t.arity
-		n := t.arity
-		if first+n > t.nodeCount(id.Level) {
-			n = t.nodeCount(id.Level) - first
-		}
-		computed = t.macOfChildren(id.Level, first, n)
+		first, n := t.children(parent.Level, parent.Index)
+		t.macOfChildrenInto(computed, id.Level, first, n)
 		id = parent
 	}
 }

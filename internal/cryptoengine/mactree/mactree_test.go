@@ -261,3 +261,54 @@ func TestNonPowerArityShapes(t *testing.T) {
 		}
 	}
 }
+
+// Property: the bulk bottom-up Build produces, node for node and at the
+// root, the tree that New plus one SetLeaf per leaf produces.
+func TestBuildMatchesSetLeaf(t *testing.T) {
+	f := func(nLeaves uint16, arity, macSize uint8) bool {
+		n := 1 + int(nLeaves)%700
+		a := 2 + int(arity)%9
+		ms := 1 + int(macSize)%32
+		ref, err := New(key, n, a, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := ref.SetLeaf(i, leafData(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := 0
+		got, err := Build(key, n, a, ms, func(i int) []byte {
+			if i != next {
+				t.Fatalf("leafData called for %d, want %d (index order)", i, next)
+			}
+			next++
+			return leafData(i)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next != n || got.Levels() != ref.Levels() || !bytes.Equal(got.Root(), ref.Root()) {
+			return false
+		}
+		for l := 0; l < ref.Levels(); l++ {
+			if got.NodeCount(l) != ref.NodeCount(l) {
+				return false
+			}
+			for i := 0; i < ref.NodeCount(l); i++ {
+				if !bytes.Equal(got.Node(NodeID{l, i}), ref.Node(NodeID{l, i})) {
+					t.Logf("leaves=%d arity=%d mac=%d: node (%d,%d) differs", n, a, ms, l, i)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(key, 0, 8, 8, leafData); err == nil {
+		t.Error("Build accepted zero leaves")
+	}
+}

@@ -76,28 +76,28 @@ const (
 // the model has no key-management ISA; what is under study is where the
 // check sits, not key distribution.
 type Suite struct {
-	keyA, keyB []byte
+	// keys holds key A then key B with their HMAC pad states precomputed;
+	// shared and immutable, so copying a Suite is cheap.
+	keys *[2]hmac.Key
 }
 
 // NewSuite builds a suite from explicit key material.
 func NewSuite(keyA, keyB []byte) Suite {
-	return Suite{keyA: append([]byte(nil), keyA...), keyB: append([]byte(nil), keyB...)}
+	return Suite{keys: &[2]hmac.Key{hmac.NewKey(keyA), hmac.NewKey(keyB)}}
 }
+
+// defaultSuite is built once: every machine and oracle uses it.
+var defaultSuite = NewSuite([]byte("authpoint-pointer-keyA-256bit!!!"), []byte("authpoint-pointer-keyB-256bit!!!"))
 
 // DefaultSuite returns the well-known per-machine keys, mirroring the fixed
 // encryption/integrity keys of the secure memory controller.
-func DefaultSuite() Suite {
-	return Suite{
-		keyA: []byte("authpoint-pointer-keyA-256bit!!!"),
-		keyB: []byte("authpoint-pointer-keyB-256bit!!!"),
-	}
-}
+func DefaultSuite() Suite { return defaultSuite }
 
-func (s Suite) key(b bool) []byte {
+func (s Suite) key(b bool) *hmac.Key {
 	if b {
-		return s.keyB
+		return &s.keys[1]
 	}
-	return s.keyA
+	return &s.keys[0]
 }
 
 // Tag computes the truncated pointer-authentication code for (address,
@@ -107,7 +107,7 @@ func (s Suite) Tag(ptr, mod uint64, keyB bool) uint32 {
 	var msg [12]byte
 	binary.LittleEndian.PutUint32(msg[0:4], uint32(ptr&AddrMask))
 	binary.LittleEndian.PutUint64(msg[4:12], mod)
-	sum := hmac.Mac(s.key(keyB), msg[:])
+	sum := s.key(keyB).Mac(msg[:])
 	return binary.LittleEndian.Uint32(sum[:4])
 }
 

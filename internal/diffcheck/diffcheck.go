@@ -93,6 +93,47 @@ func Sites() []TamperSite {
 	return []TamperSite{SiteEntry, SiteData, SiteMac, SiteCtr, SiteTree}
 }
 
+// Tamper flips one bit of machine m, freshly built from p, at the given
+// site: the adversary move a tamper check makes before the run.
+func Tamper(m *sim.Machine, p *asm.Program, site TamperSite) error {
+	entryLine := p.Entry &^ 63
+	switch site {
+	case SiteData:
+		// One bit flipped in the encrypted first data line: tainted at
+		// rest, fetched only if the program touches it.
+		m.Memory.XorRange(p.DataBase, []byte{0x40})
+	case SiteMac:
+		// One bit flipped in the stored MAC of the entry line; the data
+		// and its counter stay intact.
+		macAddr, ok := m.Ctrl.MacAddrOf(entryLine)
+		if !ok {
+			return fmt.Errorf("tamper site mac: entry line has no flat MAC (tree mode?)")
+		}
+		m.Ctrl.Memory().XorRange(macAddr, []byte{0x40})
+	case SiteCtr:
+		// Counter replay: roll the entry line's write counter forward so
+		// decryption uses the wrong pad.
+		e := m.Ctrl.Encryptor()
+		e.SetCounter(entryLine, e.Counter(entryLine)+1)
+	case SiteTree:
+		// One bit flipped in the entry line's leaf digest node inside the
+		// MAC tree's (untrusted) node storage.
+		idx, ok := m.Ctrl.LeafIndex(entryLine)
+		if !ok {
+			return fmt.Errorf("tamper site tree: entry line is not a protected leaf")
+		}
+		if m.Ctrl.Tree() == nil {
+			return fmt.Errorf("tamper site tree: machine has no MAC tree")
+		}
+		m.Ctrl.Tree().TamperNode(mactree.NodeID{Level: 0, Index: idx}, []byte{0x40})
+	default:
+		// One bit flipped in the encrypted text line holding the entry
+		// point: the first instruction fetched is guaranteed tainted.
+		m.Memory.XorRange(p.Entry, []byte{0x40})
+	}
+	return nil
+}
+
 // Options configures one differential check.
 type Options struct {
 	// Policy is the authentication control point for the timed run. The
@@ -321,41 +362,10 @@ func check(src string, opt Options) Result {
 		return res
 	}
 	if opt.Tamper {
-		entryLine := p.Entry &^ 63
-		switch opt.TamperSite {
-		case SiteData:
-			// One bit flipped in the encrypted first data line: tainted at
-			// rest, fetched only if the program touches it.
-			m.Memory.XorRange(p.DataBase, []byte{0x40})
-		case SiteMac:
-			// One bit flipped in the stored MAC of the entry line; the data
-			// and its counter stay intact.
-			macAddr, ok := m.Ctrl.MacAddrOf(entryLine)
-			if !ok {
-				res.Verdict = VerdictError
-				res.Divergence = "tamper site mac: entry line has no flat MAC (tree mode?)"
-				return res
-			}
-			m.Ctrl.Memory().XorRange(macAddr, []byte{0x40})
-		case SiteCtr:
-			// Counter replay: roll the entry line's write counter forward so
-			// decryption uses the wrong pad.
-			e := m.Ctrl.Encryptor()
-			e.SetCounter(entryLine, e.Counter(entryLine)+1)
-		case SiteTree:
-			// One bit flipped in the entry line's leaf digest node inside the
-			// MAC tree's (untrusted) node storage.
-			idx, ok := m.Ctrl.LeafIndex(entryLine)
-			if !ok {
-				res.Verdict = VerdictError
-				res.Divergence = "tamper site tree: entry line is not a protected leaf"
-				return res
-			}
-			m.Ctrl.Tree().TamperNode(mactree.NodeID{Level: 0, Index: idx}, []byte{0x40})
-		default:
-			// One bit flipped in the encrypted text line holding the entry
-			// point: the first instruction fetched is guaranteed tainted.
-			m.Memory.XorRange(p.Entry, []byte{0x40})
+		if err := Tamper(m, p, opt.TamperSite); err != nil {
+			res.Verdict = VerdictError
+			res.Divergence = err.Error()
+			return res
 		}
 	}
 	var hub *obs.Hub

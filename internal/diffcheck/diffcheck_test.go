@@ -222,3 +222,30 @@ func TestSweepBudgetExpiry(t *testing.T) {
 		}
 	}
 }
+
+// A trimmed snapshot window reads exactly like the untrimmed range: every
+// byte inside it, zeroes outside.
+func TestTrimWindowReadsLikeRange(t *testing.T) {
+	for _, raw := range [][]byte{
+		nil,
+		make([]byte, 64),
+		{0, 0, 1, 2, 0, 3, 0, 0},
+		{9, 0, 0, 0, 0, 0, 0, 7},
+		append(make([]byte, 100), 0xab),
+	} {
+		st := &oracleState{mem: []window{trimWindow(raw)}}
+		for off := uint64(0); off < uint64(len(raw))+10; off++ {
+			for n := 1; n <= 8; n++ {
+				var want uint64
+				for i := 0; i < n; i++ {
+					if idx := off + uint64(i); idx < uint64(len(raw)) {
+						want |= uint64(raw[idx]) << (8 * i)
+					}
+				}
+				if got := st.readUint(0, off, n); got != want {
+					t.Fatalf("raw %x: readUint(%d, %d) = %#x, want %#x", raw, off, n, got, want)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"sync"
 
@@ -25,8 +26,24 @@ type oracleState struct {
 	faultKind string
 	faultAddr uint64
 	ranges    []interp.MemRange
-	mem       [][]byte // one snapshot per range, same order
+	mem       []window // one snapshot per range, same order
 	digest    [32]byte
+}
+
+// window is the final contents of one digest range with its zero ends
+// trimmed: lead zero bytes, then b, then zeroes to the range's end. A memo
+// holds up to DefaultOracleMemoCap snapshots and the stack range is mostly
+// untouched zeroes, so trimming keeps each entry to the bytes a program
+// actually wrote.
+type window struct {
+	lead uint64
+	b    []byte
+}
+
+func trimWindow(b []byte) window {
+	lo := len(b) - len(bytes.TrimLeft(b, "\x00"))
+	b = bytes.TrimRight(b[lo:], "\x00")
+	return window{lead: uint64(lo), b: bytes.Clone(b)}
 }
 
 // runOracle executes the in-order oracle on p and snapshots the outcome over
@@ -44,7 +61,7 @@ func runOracle(p *asm.Program, mode pacmac.Mode, maxInsts uint64, ranges []inter
 	if st.stop != interp.StopMaxInsts {
 		st.digest = o.StateDigest(ranges...)
 		for _, r := range ranges {
-			st.mem = append(st.mem, o.Mem.Read(r.Start, int(r.Len)))
+			st.mem = append(st.mem, trimWindow(o.Mem.Read(r.Start, int(r.Len))))
 		}
 	}
 	return st
@@ -55,13 +72,11 @@ func runOracle(p *asm.Program, mode pacmac.Mode, maxInsts uint64, ranges []inter
 // sparse memory reads zero for untouched pages.
 func (st *oracleState) readUint(ri int, off uint64, n int) uint64 {
 	var v uint64
-	buf := st.mem[ri]
+	w := st.mem[ri]
 	for i := 0; i < n; i++ {
-		idx := off + uint64(i)
-		if idx >= uint64(len(buf)) {
-			break
+		if idx := off + uint64(i); idx >= w.lead && idx-w.lead < uint64(len(w.b)) {
+			v |= uint64(w.b[idx-w.lead]) << (8 * i)
 		}
-		v |= uint64(buf[idx]) << (8 * i)
 	}
 	return v
 }

@@ -290,8 +290,10 @@ type imageEntry struct {
 // images caches assembled programs by source text, so each of the catalog's
 // sources is assembled once per process instead of once per sweep cell. The
 // cached *asm.Program is shared read-only across machines — safe because
-// sim.NewMachine copies the image into each machine's own memories (pinned
-// by TestProgramImmutable in internal/sim).
+// sim.NewMachine only reads it: the loader seals the image into the
+// machine's external memory and copies it into its plaintext shadow, and no
+// machine writes back through it (pinned by TestProgramImmutable in
+// internal/sim).
 var images sync.Map // string -> *imageEntry
 
 // assembleCached returns the shared assembled image for src.

@@ -7,7 +7,10 @@
 // probing the DIMMs would see. Tampering helpers operate on this store.
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // PageSize is the virtual/physical page size (4KB, the paper's §3.3 premise:
 // the low 12 address bits survive translation untouched).
@@ -17,39 +20,86 @@ const PageSize = 4096
 const PageShift = 12
 
 // Memory is a sparse byte-addressable physical memory.
+//
+// A page may be shared: installed by SharePage from a buffer that other
+// memories (or a process-wide table) also reference, and never written
+// through. Every mutation path copies a shared page into a private one
+// before its first write (copy-on-write), so a memory with shared pages
+// behaves exactly like one that owns copies of them.
 type Memory struct {
-	pages map[uint64][]byte
+	pages map[uint64]page
 	// One-entry page cache: simulator accesses are heavily page-local, and
-	// this keeps the hot path off the map.
-	lastPN   uint64
-	lastPage []byte
+	// this keeps the hot path off the map. lastOwned says lastPage is
+	// private, so writes may go through the cache; a cached shared page is
+	// read-only.
+	lastPN    uint64
+	lastPage  []byte
+	lastOwned bool
+}
+
+type page struct {
+	b      []byte
+	shared bool
 }
 
 // New creates an empty memory.
 func New() *Memory {
-	return &Memory{pages: map[uint64][]byte{}, lastPN: ^uint64(0)}
+	return &Memory{pages: map[uint64]page{}, lastPN: ^uint64(0)}
 }
 
-func (m *Memory) page(addr uint64, create bool) []byte {
+// readPage returns the page containing addr for reading, nil if it was
+// never written.
+func (m *Memory) readPage(addr uint64) []byte {
 	pn := addr >> PageShift
 	if pn == m.lastPN {
 		return m.lastPage
 	}
 	p, ok := m.pages[pn]
 	if !ok {
-		if !create {
-			return nil
-		}
-		p = make([]byte, PageSize)
+		return nil
+	}
+	m.lastPN, m.lastPage, m.lastOwned = pn, p.b, !p.shared
+	return p.b
+}
+
+// writePage returns the page containing addr for writing: allocated if
+// absent, copied first if shared.
+func (m *Memory) writePage(addr uint64) []byte {
+	pn := addr >> PageShift
+	if pn == m.lastPN && m.lastOwned {
+		return m.lastPage
+	}
+	p, ok := m.pages[pn]
+	switch {
+	case !ok:
+		p = page{b: make([]byte, PageSize)}
+		m.pages[pn] = p
+	case p.shared:
+		p = page{b: append(make([]byte, 0, PageSize), p.b...)}
 		m.pages[pn] = p
 	}
-	m.lastPN, m.lastPage = pn, p
-	return p
+	m.lastPN, m.lastPage, m.lastOwned = pn, p.b, true
+	return p.b
+}
+
+// SharePage installs b as the contents of the page at addr (page-aligned)
+// without copying it, replacing whatever the page held. The memory never
+// writes b: its first write to the page copies it. b must be PageSize bytes
+// and must not change afterwards.
+func (m *Memory) SharePage(addr uint64, b []byte) {
+	if addr&(PageSize-1) != 0 || len(b) != PageSize {
+		panic(fmt.Sprintf("mem: SharePage(%#x, %d bytes) is not one aligned page", addr, len(b)))
+	}
+	pn := addr >> PageShift
+	m.pages[pn] = page{b: b, shared: true}
+	if pn == m.lastPN {
+		m.lastPN, m.lastPage = ^uint64(0), nil
+	}
 }
 
 // LoadByte returns the byte at addr (0 if the page was never written).
 func (m *Memory) LoadByte(addr uint64) byte {
-	p := m.page(addr, false)
+	p := m.readPage(addr)
 	if p == nil {
 		return 0
 	}
@@ -58,7 +108,7 @@ func (m *Memory) LoadByte(addr uint64) byte {
 
 // StoreByte stores one byte.
 func (m *Memory) StoreByte(addr uint64, v byte) {
-	m.page(addr, true)[addr&(PageSize-1)] = v
+	m.writePage(addr)[addr&(PageSize-1)] = v
 }
 
 // Read copies n bytes starting at addr into a fresh slice.
@@ -68,19 +118,52 @@ func (m *Memory) Read(addr uint64, n int) []byte {
 	return out
 }
 
+// chunk returns the length of the piece of an n-byte access at addr that
+// stays within addr's page.
+func chunk(addr uint64, n int) int {
+	return min(n, PageSize-int(addr&(PageSize-1)))
+}
+
 // ReadInto fills dst with len(dst) bytes starting at addr without
-// allocating (the secure-memory controller's per-fetch path).
+// allocating (the secure-memory controller's per-fetch path). It copies a
+// page-sized piece at a time; never-written pages read as zeroes.
 func (m *Memory) ReadInto(dst []byte, addr uint64) {
-	for i := range dst {
-		dst[i] = m.LoadByte(addr + uint64(i))
+	for len(dst) > 0 {
+		n := chunk(addr, len(dst))
+		if p := m.readPage(addr); p != nil {
+			copy(dst[:n], p[addr&(PageSize-1):])
+		} else {
+			clear(dst[:n])
+		}
+		dst, addr = dst[n:], addr+uint64(n)
 	}
 }
 
-// Write stores data starting at addr.
+// Write stores data starting at addr, a page-sized piece at a time. A piece
+// of zeroes bound for a never-written page is skipped: the page already
+// reads as zeroes, so a loaded image's zero-filled data costs no pages.
 func (m *Memory) Write(addr uint64, data []byte) {
-	for i, b := range data {
-		m.StoreByte(addr+uint64(i), b)
+	for len(data) > 0 {
+		n := chunk(addr, len(data))
+		if m.readPage(addr) != nil || !IsZero(data[:n]) {
+			copy(m.writePage(addr)[addr&(PageSize-1):], data[:n])
+		}
+		data, addr = data[n:], addr+uint64(n)
 	}
+}
+
+var zeroPage [PageSize]byte
+
+// IsZero reports whether b holds only zero bytes.
+func IsZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), PageSize)
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // ReadUint reads an n-byte little-endian unsigned integer (n <= 8).
@@ -102,9 +185,13 @@ func (m *Memory) WriteUint(addr uint64, v uint64, n int) {
 // XorRange XORs mask into memory at addr — the adversary's bit-flipping
 // primitive against ciphertext at rest.
 func (m *Memory) XorRange(addr uint64, mask []byte) {
-	for i, b := range mask {
-		a := addr + uint64(i)
-		m.StoreByte(a, m.LoadByte(a)^b)
+	for len(mask) > 0 {
+		n := chunk(addr, len(mask))
+		p := m.writePage(addr)[addr&(PageSize-1):]
+		for i, b := range mask[:n] {
+			p[i] ^= b
+		}
+		mask, addr = mask[n:], addr+uint64(n)
 	}
 }
 

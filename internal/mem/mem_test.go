@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +69,112 @@ func TestQuickMemoryConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: the page-chunked Read/Write/XorRange agree with a byte-at-a-
+// time model for accesses of any length and alignment, including ones that
+// span several pages and never-written pages.
+func TestQuickChunkedAccess(t *testing.T) {
+	m := New()
+	model := map[uint64]byte{}
+	f := func(off uint16, n uint16, op uint8, seed int64) bool {
+		addr := uint64(off) % (3 * PageSize)
+		data := make([]byte, int(n)%(2*PageSize+100))
+		rand.New(rand.NewSource(seed)).Read(data)
+		switch op % 3 {
+		case 0:
+			m.Write(addr, data)
+			for i, b := range data {
+				model[addr+uint64(i)] = b
+			}
+		case 1:
+			m.XorRange(addr, data)
+			for i, b := range data {
+				model[addr+uint64(i)] ^= b
+			}
+		}
+		got := m.Read(addr, len(data))
+		for i := range got {
+			if got[i] != model[addr+uint64(i)] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every mutation path copies a shared page before writing: the shared
+// buffer never changes, and the memory reads its own write afterwards. The
+// read beforehand puts the shared page in the one-entry cache, which must
+// not let the write through.
+func TestSharedPageCopyOnWrite(t *testing.T) {
+	const base = 0x7000
+	writes := map[string]func(m *Memory){
+		"StoreByte": func(m *Memory) { m.StoreByte(base+5, 0xee) },
+		"Write":     func(m *Memory) { m.Write(base+5, []byte{0xee}) },
+		"WriteUint": func(m *Memory) { m.WriteUint(base+5, 0xee, 1) },
+		"XorRange":  func(m *Memory) { m.XorRange(base+5, []byte{0xee ^ 5}) },
+		"spanning":  func(m *Memory) { m.Write(base-3, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0xee}) },
+	}
+	for name, write := range writes {
+		t.Run(name, func(t *testing.T) {
+			shared := make([]byte, PageSize)
+			for i := range shared {
+				shared[i] = byte(i)
+			}
+			orig := bytes.Clone(shared)
+			m, other := New(), New()
+			m.SharePage(base, shared)
+			other.SharePage(base, shared)
+			if m.LoadByte(base+5) != 5 || m.ReadUint(base+8, 2) != 0x0908 {
+				t.Fatal("shared page not readable")
+			}
+			write(m)
+			if !bytes.Equal(shared, orig) {
+				t.Fatal("write went through to the shared buffer")
+			}
+			if got := m.LoadByte(base + 5); got != 0xee {
+				t.Fatalf("write lost: byte = %#x", got)
+			}
+			if got := m.LoadByte(base + 6); got != 6 {
+				t.Fatalf("copy lost the page's other bytes: %#x", got)
+			}
+			if other.LoadByte(base+5) != 5 {
+				t.Fatal("write leaked into another memory sharing the page")
+			}
+			m.StoreByte(base+7, 0xdd) // now private: a plain write
+			if shared[7] != 7 || m.LoadByte(base+7) != 0xdd {
+				t.Fatal("second write misbehaved")
+			}
+		})
+	}
+}
+
+func TestSharePageReplacesAndValidates(t *testing.T) {
+	m := New()
+	m.StoreByte(0x2001, 9) // cached private page
+	shared := make([]byte, PageSize)
+	shared[1] = 4
+	m.SharePage(0x2000, shared)
+	if m.LoadByte(0x2001) != 4 {
+		t.Fatal("SharePage did not replace the cached page")
+	}
+	for _, bad := range []func(){
+		func() { m.SharePage(0x2001, shared) },
+		func() { m.SharePage(0x3000, shared[:10]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("malformed SharePage accepted")
+				}
+			}()
+			bad()
+		}()
 	}
 }
 

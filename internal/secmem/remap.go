@@ -19,8 +19,11 @@ import (
 // properties the paper measures: the side channel sees only shuffled slots,
 // and IPC pays for re-map cache misses.
 type Remapper struct {
-	lineB   int
-	slots   map[uint64]uint64 // true line addr -> current slot index
+	lineB int
+	// slots holds the lines reshuffled since Init (true line addr -> slot
+	// index); every other line is still at the initial slot slot recomputes
+	// from its leaf index.
+	slots   map[uint64]uint64
 	nSlots  uint64
 	lcg     uint64 // deterministic shuffle state
 	cache   *cache.Cache
@@ -49,7 +52,7 @@ func NewRemapper(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM) (*Remapper
 	return &Remapper{
 		lineB:   cfg.LineB,
 		slots:   map[uint64]uint64{},
-		lcg:     0x9e3779b97f4a7c15,
+		lcg:     lcgSeed,
 		cache:   c,
 		mem:     m,
 		bus:     b,
@@ -58,21 +61,54 @@ func NewRemapper(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM) (*Remapper
 	}, nil
 }
 
-// Init assigns every protected line an initial slot via a deterministic
-// shuffle (the OS loader's randomized placement).
-func (r *Remapper) Init(lineAddrs []uint64) {
-	r.nSlots = uint64(len(lineAddrs)) * 2 // head-room so reshuffling has free slots
+// The shuffle is a 64-bit LCG.
+const (
+	lcgSeed = 0x9e3779b97f4a7c15
+	lcgMul  = 6364136223846793005
+	lcgInc  = 1442695040888963407
+)
+
+// Init assigns each of the nLines protected lines an initial slot via a
+// deterministic shuffle (the OS loader's randomized placement): leaf i gets
+// the slot drawn by the shuffle's (i+1)-th step. The assignment is implicit
+// — slot recomputes it on demand — so Init is O(1), not one map entry per
+// line.
+func (r *Remapper) Init(nLines int) {
+	r.nSlots = uint64(nLines) * 2 // head-room so reshuffling has free slots
 	if r.nSlots == 0 {
 		r.nSlots = 1
 	}
-	for _, a := range lineAddrs {
-		r.slots[a] = r.next()
-	}
+	r.lcg = lcgJump(lcgSeed, uint64(nLines))
 }
 
 func (r *Remapper) next() uint64 {
-	r.lcg = r.lcg*6364136223846793005 + 1442695040888963407
-	return (r.lcg >> 17) % r.nSlots
+	r.lcg = r.lcg*lcgMul + lcgInc
+	return r.slotOf(r.lcg)
+}
+
+func (r *Remapper) slotOf(state uint64) uint64 { return (state >> 17) % r.nSlots }
+
+// slot returns the current slot of the line at lineAddr (leaf idx): its
+// latest reshuffle, or else the slot Init gave it.
+func (r *Remapper) slot(lineAddr uint64, idx int) uint64 {
+	if s, ok := r.slots[lineAddr]; ok {
+		return s
+	}
+	return r.slotOf(lcgJump(lcgSeed, uint64(idx)+1))
+}
+
+// lcgJump returns the shuffle state n steps after x, in O(log n): the n-th
+// power of the affine step x -> lcgMul·x + lcgInc by repeated squaring.
+func lcgJump(x, n uint64) uint64 {
+	mul, inc := uint64(1), uint64(0) // accumulated step
+	a, c := uint64(lcgMul), uint64(lcgInc)
+	for ; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			mul, inc = mul*a, inc*a+c
+		}
+		a, c = a*a, c*(a+1)
+	}
+	return mul*x + inc
 }
 
 // tableEntryAddr is where a line's re-map table entry lives in external
@@ -86,10 +122,11 @@ func (r *Remapper) SlotAddr(slot uint64) uint64 {
 	return RemapBase + slot*uint64(r.lineB)
 }
 
-// Lookup resolves the current bus address for a line fetch starting at
-// cycle now. A re-map cache miss first fetches the table entry from memory.
-// It returns the obfuscated address and the cycle the mapping was known.
-func (r *Remapper) Lookup(now uint64, lineAddr uint64) (busAddr uint64, ready uint64) {
+// Lookup resolves the current bus address for a fetch, starting at cycle
+// now, of the line at lineAddr (leaf idx). A re-map cache miss first fetches
+// the table entry from memory. It returns the obfuscated address and the
+// cycle the mapping was known.
+func (r *Remapper) Lookup(now uint64, lineAddr uint64, idx int) (busAddr uint64, ready uint64) {
 	ready = now
 	entry := r.tableEntryAddr(lineAddr)
 	if _, hit := r.cache.Access(entry, false); hit {
@@ -100,7 +137,7 @@ func (r *Remapper) Lookup(now uint64, lineAddr uint64) (busAddr uint64, ready ui
 		ready = arrive
 		r.cache.Fill(entry, false)
 	}
-	return r.SlotAddr(r.slots[lineAddr]), ready
+	return r.SlotAddr(r.slot(lineAddr, idx)), ready
 }
 
 // Reshuffle assigns a fresh slot on write-back and updates the table. It

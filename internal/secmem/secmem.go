@@ -183,9 +183,22 @@ type Controller struct {
 	dram *dram.DRAM
 
 	enc    *ctr.Engine
+	encKey []byte
 	macKey []byte
+	mac    hmac.Key // macKey with its HMAC pad states precomputed
 
+	// protected lists the protected ranges in Protect order, which is also
+	// leaf order: a line's tree leaf / MAC index is its range's first leaf
+	// plus its line offset in the range. nLeaves counts every protected line.
 	protected []addrRange
+	nLeaves   int
+	// sealed is set by FinishProtection: the layout is fixed from then on.
+	sealed bool
+	// sealWork counts the lines this controller sealed itself, including
+	// pages it added to the sealed-zero table. It depends on what earlier
+	// controllers in the process left in the table, so it appears in no
+	// Stats or result record.
+	sealWork int
 
 	// MAC store: macs[lineAddr] would be the natural model, but the MACs
 	// live in external memory so they can be tampered with; we place them at
@@ -194,8 +207,6 @@ type Controller struct {
 
 	tree      *mactree.Tree
 	treeCache *cache.Cache
-	leafIdx   map[uint64]int // protected line addr -> tree leaf / MAC index
-	leafAddrs []uint64       // leaf index -> line addr
 
 	ctrCache *cache.Cache
 
@@ -253,7 +264,10 @@ func (c *Controller) SetObserver(s obs.Sink) {
 	c.enc.SetObserver(s, clock)
 }
 
-type addrRange struct{ start, end uint64 }
+type addrRange struct {
+	start, end uint64
+	leaf0      int // leaf index of the line at start
+}
 
 // MacBase is where the MAC store begins in physical memory (outside any
 // program-visible range).
@@ -289,9 +303,10 @@ func New(cfg Config, m *mem.Memory, b *bus.Bus, d *dram.DRAM, encKey, macKey []b
 		bus:     b,
 		dram:    d,
 		enc:     enc,
+		encKey:  append([]byte(nil), encKey...),
 		macKey:  append([]byte(nil), macKey...),
+		mac:     hmac.NewKey(macKey),
 		macBase: MacBase,
-		leafIdx: map[uint64]int{},
 		ctBuf:   make([]byte, cfg.LineB),
 		ptBuf:   make([]byte, cfg.LineB),
 		msgBuf:  make([]byte, 16+cfg.LineB),
@@ -334,15 +349,33 @@ func (c *Controller) Tree() *mactree.Tree { return c.tree }
 // LeafIndex returns the MAC-store / tree-leaf index of a protected line, for
 // adversaries that tamper the integrity metadata rather than the data.
 func (c *Controller) LeafIndex(lineAddr uint64) (int, bool) {
-	idx, ok := c.leafIdx[lineAddr]
-	return idx, ok
+	lb := uint64(c.cfg.LineB)
+	if lineAddr%lb != 0 {
+		return 0, false
+	}
+	for _, r := range c.protected {
+		if lineAddr >= r.start && lineAddr < r.end {
+			return r.leaf0 + int((lineAddr-r.start)/lb), true
+		}
+	}
+	return 0, false
+}
+
+// leafAddr is the inverse of LeafIndex.
+func (c *Controller) leafAddr(idx int) uint64 {
+	for _, r := range c.protected {
+		if n := int((r.end - r.start) / uint64(c.cfg.LineB)); idx < r.leaf0+n {
+			return r.start + uint64(idx-r.leaf0)*uint64(c.cfg.LineB)
+		}
+	}
+	panic(fmt.Sprintf("secmem: leaf %d out of range", idx))
 }
 
 // MacAddrOf returns the external-memory address of a protected line's stored
 // flat MAC. It reports false in tree mode (per-line MACs live in the tree)
 // or for unprotected lines.
 func (c *Controller) MacAddrOf(lineAddr uint64) (uint64, bool) {
-	idx, ok := c.leafIdx[lineAddr]
+	idx, ok := c.LeafIndex(lineAddr)
 	if !ok || c.cfg.UseTree {
 		return 0, false
 	}
@@ -350,34 +383,62 @@ func (c *Controller) MacAddrOf(lineAddr uint64) (uint64, bool) {
 }
 
 // Protect marks [start, start+n) as a protected (encrypted+authenticated)
-// region and initializes its lines from plaintext zeroes. Must be called
-// before LoadPlain into that range. Ranges must be line-aligned.
+// region. Its lines are sealed, as plaintext zeroes unless an image segment
+// covers them, by FinishProtection. Ranges must be line-aligned, disjoint,
+// and declared before FinishProtection: a line protected afterwards would
+// have no ciphertext, MAC, tree leaf or remap slot.
 func (c *Controller) Protect(start, n uint64) error {
+	if c.sealed {
+		return fmt.Errorf("secmem: Protect [%#x,+%#x) after FinishProtection", start, n)
+	}
 	lb := uint64(c.cfg.LineB)
 	if start%lb != 0 || n%lb != 0 {
 		return fmt.Errorf("secmem: unaligned protected range [%#x,+%#x)", start, n)
 	}
-	c.protected = append(c.protected, addrRange{start, start + n})
-	for a := start; a < start+n; a += lb {
-		if _, dup := c.leafIdx[a]; dup {
-			return fmt.Errorf("secmem: line %#x protected twice", a)
+	for _, r := range c.protected {
+		if start < r.end && r.start < start+n {
+			return fmt.Errorf("secmem: line %#x protected twice", max(start, r.start))
 		}
-		c.leafIdx[a] = len(c.leafAddrs)
-		c.leafAddrs = append(c.leafAddrs, a)
 	}
+	c.protected = append(c.protected, addrRange{start, start + n, c.nLeaves})
+	c.nLeaves += int(n / lb)
 	return nil
 }
 
-// FinishProtection seals the protected layout: it encrypts every protected
-// line (as all-zero plaintext), writes MACs, and builds the MAC tree if
-// enabled. Call after all Protect calls and before LoadPlain/Fetch.
-func (c *Controller) FinishProtection() error {
-	if c.cfg.UseTree {
-		tr, err := mactree.New(c.macKey, max(1, len(c.leafAddrs)), c.cfg.LineB/c.cfg.MacB, c.cfg.MacB)
-		if err != nil {
-			return err
+// Segment is plaintext installed into protected memory when the layout is
+// sealed: a program image's text or data.
+type Segment struct {
+	Addr uint64
+	Data []byte
+}
+
+func (s Segment) end() uint64 { return s.Addr + uint64(len(s.Data)) }
+
+// FinishProtection seals the protected layout, once: every protected line
+// gets its ciphertext and MAC (or MAC-tree leaf), and the tree, if enabled,
+// is built. Each line is sealed straight into the state a LoadPlain of each
+// image segment in turn would leave it in: the segments' bytes over
+// zeroes, at counter 1 + the number of segments touching the line. Lines no
+// segment touches hold sealed zeroes at counter 1. Call after all Protect
+// calls and before LoadPlain/Fetch.
+//
+// A page of zero lines at one counter seals to ciphertext and MACs that
+// depend only on its address and the crypto geometry, so such pages come
+// from the process-wide sealed-zero table (zeroseal.go) and are installed
+// into external memory as shared, copy-on-write pages; their counters are
+// implied by range. Only the remaining lines — image lines holding data,
+// and pages partly outside the protected ranges — are sealed one by one.
+func (c *Controller) FinishProtection(image ...Segment) error {
+	if c.sealed {
+		return fmt.Errorf("secmem: FinishProtection called twice (resealing would bump every counter)")
+	}
+	c.sealed = true
+	for _, seg := range image {
+		if a, ok := c.covered(seg.Addr, seg.end()); !ok {
+			return fmt.Errorf("secmem: image outside protected region at %#x", a)
 		}
-		c.tree = tr
+	}
+	if c.cfg.UseTree {
 		// The node cache holds 64-byte sibling groups (eight digests), the
 		// granularity the verification actually consumes: computing a
 		// parent requires the whole group, and neighbouring leaves share
@@ -393,16 +454,138 @@ func (c *Controller) FinishProtection() error {
 			tc.SetObserver(c.sink, obs.TrackTreeCache, func() uint64 { return c.obsNow })
 		}
 	}
-	zero := make([]byte, c.cfg.LineB)
-	for _, a := range c.leafAddrs {
-		if err := c.storeLine(a, zero); err != nil {
+	table := zeroTableFor(c)
+	for _, r := range c.protected {
+		if err := c.sealRange(r, image, table); err != nil {
+			return err
+		}
+	}
+	if c.cfg.UseTree {
+		if err := c.buildTree(); err != nil {
 			return err
 		}
 	}
 	if c.remap != nil {
-		c.remap.Init(c.leafAddrs)
+		c.remap.Init(c.nLeaves)
 	}
 	return nil
+}
+
+// covered reports whether the protected ranges cover [start, end); if not,
+// it returns the first uncovered address.
+func (c *Controller) covered(start, end uint64) (uint64, bool) {
+next:
+	for start < end {
+		for _, r := range c.protected {
+			if start >= r.start && start < r.end {
+				start = r.end
+				continue next
+			}
+		}
+		return start, false
+	}
+	return 0, true
+}
+
+// sealRange seals one protected range, a page at a time. A page wholly
+// inside the range whose lines all hold zeroes at one counter is shared
+// from the sealed-zero table, its flat MACs copied into the MAC store in one
+// piece; the lines of any other page are sealed one by one. Counters are
+// implied per page (image lines sealed individually get their own).
+func (c *Controller) sealRange(r addrRange, image []Segment, table *zeroTable) error {
+	lb := uint64(c.cfg.LineB)
+	for pg := r.start &^ (mem.PageSize - 1); pg < r.end; pg += mem.PageSize {
+		lo, hi := max(pg, r.start), min(pg+mem.PageSize, r.end)
+		if table != nil && lo == pg && hi == pg+mem.PageSize {
+			if ctr, ok := zeroPageCounter(pg, lb, image); ok {
+				zp := table.page(c, ctr, pg)
+				c.mem.SharePage(pg, zp.ct)
+				c.enc.ImplyCounter(lo, hi, ctr)
+				if !c.cfg.UseTree {
+					c.mem.Write(c.macAddr(r.leaf0+int((pg-r.start)/lb)), zp.macs)
+				}
+				continue
+			}
+		}
+		c.enc.ImplyCounter(lo, hi, 1)
+		for a := lo; a < hi; a += lb {
+			plain := c.ptBuf
+			ctr := 1 + imageLine(plain, a, image)
+			if ctr != 1 {
+				c.enc.SetCounter(a, ctr)
+			}
+			if err := c.enc.SealInto(c.ctBuf, a, ctr, plain); err != nil {
+				return err
+			}
+			if err := c.commitLine(a, c.ctBuf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// zeroPageCounter reports whether every line of the page at pg holds zeroes
+// once the image is applied and is touched by the same number of segments;
+// if so it returns the lines' counter, 1 + that number.
+func zeroPageCounter(pg, lb uint64, image []Segment) (uint64, bool) {
+	ctr := uint64(1)
+	for _, s := range image {
+		end := s.end()
+		if len(s.Data) == 0 || end <= pg || s.Addr >= pg+mem.PageSize {
+			continue
+		}
+		// A contiguous segment touches every line of the page iff it
+		// touches the first and the last.
+		if s.Addr >= pg+lb || end <= pg+mem.PageSize-lb {
+			return 0, false
+		}
+		lo, hi := max(pg, s.Addr)-s.Addr, min(pg+mem.PageSize, end)-s.Addr
+		if !mem.IsZero(s.Data[lo:hi]) {
+			return 0, false
+		}
+		ctr++
+	}
+	return ctr, true
+}
+
+// imageLine writes into plain the line at a as the image leaves it — the
+// segments' bytes, in order, over zeroes — and returns how many segments
+// touch it.
+func imageLine(plain []byte, a uint64, image []Segment) uint64 {
+	clear(plain)
+	lb := uint64(len(plain))
+	var writes uint64
+	for _, s := range image {
+		end := s.end()
+		if len(s.Data) == 0 || end <= a || s.Addr >= a+lb {
+			continue
+		}
+		lo := max(a, s.Addr)
+		copy(plain[lo-a:], s.Data[lo-s.Addr:min(end, a+lb)-s.Addr])
+		writes++
+	}
+	return writes
+}
+
+// buildTree builds the MAC tree over the sealed lines in one bottom-up pass.
+func (c *Controller) buildTree() error {
+	arity := c.cfg.LineB / c.cfg.MacB
+	var (
+		tr  *mactree.Tree
+		err error
+	)
+	if c.nLeaves == 0 {
+		tr, err = mactree.New(c.macKey, 1, arity, c.cfg.MacB)
+	} else {
+		tr, err = mactree.Build(c.macKey, c.nLeaves, arity, c.cfg.MacB, func(i int) []byte {
+			a := c.leafAddr(i)
+			c.mem.ReadInto(c.ctBuf, a)
+			return c.authMessage(a, c.ctBuf)
+		})
+	}
+	c.tree = tr
+	return err
 }
 
 // IsProtected reports whether addr lies in a protected range.
@@ -415,13 +598,18 @@ func (c *Controller) IsProtected(addr uint64) bool {
 	return false
 }
 
-// LoadPlain installs plaintext into a protected region at program-load time
-// (encrypting and MACing each touched line). Not a timed operation.
+// LoadPlain writes plaintext into a sealed protected region, re-sealing each
+// touched line at its next counter. Not a timed operation. (The machine
+// loader passes its image to FinishProtection instead, which seals those
+// lines straight into the state LoadPlain would leave.)
 func (c *Controller) LoadPlain(addr uint64, data []byte) error {
+	if !c.sealed {
+		return fmt.Errorf("secmem: LoadPlain before FinishProtection")
+	}
 	lb := uint64(c.cfg.LineB)
 	for len(data) > 0 {
 		la := addr &^ (lb - 1)
-		if _, ok := c.leafIdx[la]; !ok {
+		if _, ok := c.LeafIndex(la); !ok {
 			return fmt.Errorf("secmem: LoadPlain outside protected region at %#x", addr)
 		}
 		line, err := c.loadLinePlain(la)
@@ -469,25 +657,41 @@ func (c *Controller) loadLinePlain(lineAddr uint64) ([]byte, error) {
 	return c.enc.DecryptLine(lineAddr, ct)
 }
 
-// storeLine encrypts and stores a protected line, refreshing MAC/tree
-// (functional only).
+// storeLine encrypts and stores a protected line at its next counter,
+// refreshing MAC/tree (functional only).
 func (c *Controller) storeLine(lineAddr uint64, plaintext []byte) error {
+	if _, ok := c.LeafIndex(lineAddr); !ok {
+		return fmt.Errorf("secmem: store to unprotected line %#x", lineAddr)
+	}
 	ct := c.ctBuf
 	if err := c.enc.EncryptLineInto(ct, lineAddr, plaintext); err != nil {
 		return err
 	}
+	return c.commitLine(lineAddr, ct)
+}
+
+// commitLine writes a sealed line's ciphertext to external memory and its
+// integrity metadata: the flat MAC slot, or the tree leaf once the tree
+// exists (FinishProtection builds the tree after sealing the layout).
+func (c *Controller) commitLine(lineAddr uint64, ct []byte) error {
+	c.sealWork++
 	c.mem.Write(lineAddr, ct)
-	idx, ok := c.leafIdx[lineAddr]
-	if !ok {
-		return fmt.Errorf("secmem: store to unprotected line %#x", lineAddr)
-	}
-	if c.tree != nil {
+	idx, _ := c.LeafIndex(lineAddr)
+	if c.cfg.UseTree {
+		if c.tree == nil {
+			return nil
+		}
 		_, err := c.tree.SetLeaf(idx, c.authMessage(lineAddr, ct))
 		return err
 	}
-	mac := hmac.Mac(c.macKey, c.authMessage(lineAddr, ct))
+	mac := c.lineMac(lineAddr, c.enc.Counter(lineAddr), ct)
 	c.mem.Write(c.macAddr(idx), mac[:c.cfg.MacB])
 	return nil
+}
+
+// lineMac is the flat MAC of a line's ciphertext under counter ctr.
+func (c *Controller) lineMac(lineAddr, ctr uint64, ct []byte) [hmac.Size]byte {
+	return c.mac.Mac(c.authMessageAt(lineAddr, ctr, ct))
 }
 
 // authMessage is the byte string the MAC covers: line address, current
@@ -497,8 +701,12 @@ func (c *Controller) storeLine(lineAddr uint64, plaintext []byte) error {
 // is the controller's reusable scratch: valid until the next authMessage
 // call, never retained (tree leaves hash it immediately).
 func (c *Controller) authMessage(lineAddr uint64, ct []byte) []byte {
+	return c.authMessageAt(lineAddr, c.enc.Counter(lineAddr), ct)
+}
+
+// authMessageAt is authMessage under an explicit counter.
+func (c *Controller) authMessageAt(lineAddr, ctr uint64, ct []byte) []byte {
 	msg := c.msgBuf[:16+len(ct)]
-	ctr := c.enc.Counter(lineAddr)
 	for i := 0; i < 8; i++ {
 		msg[i] = byte(lineAddr >> (8 * i))
 		msg[8+i] = 0
@@ -517,13 +725,12 @@ func (c *Controller) macAddr(leafIdx int) uint64 {
 // verifyLine checks the stored MAC (or tree path) for a line's current
 // ciphertext. Returns the verdict plus the extra engine work performed
 // beyond the flat per-line MAC (tree levels climbed, uncached node fetches).
-func (c *Controller) verifyLine(lineAddr uint64, ct []byte) (ok bool, treeLevels, nodeFetches int) {
-	idx := c.leafIdx[lineAddr]
+func (c *Controller) verifyLine(lineAddr uint64, idx int, ct []byte) (ok bool, treeLevels, nodeFetches int) {
 	msg := c.authMessage(lineAddr, ct)
 	if c.tree == nil {
 		stored := c.macBuf
 		c.mem.ReadInto(stored, c.macAddr(idx))
-		return hmac.Verify(c.macKey, msg, stored), 0, 0
+		return c.mac.Verify(msg, stored), 0, 0
 	}
 	trusted := func(id mactree.NodeID) bool {
 		if id.Level == 0 {
@@ -569,7 +776,8 @@ func (c *Controller) treeNodeAddr(id mactree.NodeID) uint64 {
 // the bus (authen-then-fetch passes the completion cycle of the relevant
 // authentication request; everyone else passes 0).
 func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64) (FetchResult, error) {
-	if _, ok := c.leafIdx[lineAddr]; !ok {
+	idx, ok := c.LeafIndex(lineAddr)
+	if !ok {
 		return FetchResult{}, fmt.Errorf("secmem: fetch of unprotected line %#x", lineAddr)
 	}
 	c.stats.Fetches++
@@ -595,7 +803,7 @@ func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64)
 	busStart := start
 	if c.remap != nil {
 		var remapReady uint64
-		busAddr, remapReady = c.remap.Lookup(start, lineAddr)
+		busAddr, remapReady = c.remap.Lookup(start, lineAddr, idx)
 		busStart = max(busStart, remapReady)
 	}
 	addrDone, dataArrive := c.busDramRead(busStart, busAddr, burst, bus.ReadLine)
@@ -615,7 +823,7 @@ func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64)
 			// it. With [19]-style prediction the pad starts immediately
 			// from the predicted counter and the fetched block only
 			// confirms it.
-			_, ctrArrive := c.busDramRead(start, c.counterAddr(lineAddr), 64, bus.ReadMeta)
+			_, ctrArrive := c.busDramRead(start, c.counterAddr(idx), 64, bus.ReadMeta)
 			if !c.cfg.CtrPredict {
 				padStart = ctrArrive
 			}
@@ -658,7 +866,7 @@ func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64)
 
 	// Enqueue on the authentication queue: the in-order engine starts this
 	// request when the data has arrived and every earlier request is done.
-	ok, treeLevels, nodeFetches := c.verifyLine(lineAddr, ct)
+	ok, treeLevels, nodeFetches := c.verifyLine(lineAddr, idx, ct)
 	var authDone uint64
 	switch {
 	case c.cfg.Mode == ModeCBC && c.tree == nil:
@@ -729,8 +937,8 @@ func (c *Controller) ctrKey(lineAddr uint64) uint64 {
 	return lineAddr / uint64(c.cfg.LineB) * 8
 }
 
-func (c *Controller) counterAddr(lineAddr uint64) uint64 {
-	return c.macBase + 0x2000_0000 + uint64(c.leafIdx[lineAddr])*8
+func (c *Controller) counterAddr(leafIdx int) uint64 {
+	return c.macBase + 0x2000_0000 + uint64(leafIdx)*8
 }
 
 // busDramRead performs one address+data transaction: bus command, DRAM
@@ -746,7 +954,7 @@ func (c *Controller) busDramRead(start uint64, addr uint64, nbytes int, kind bus
 // authen-then-write the *pipeline* delays calling this until the store's
 // authentication tag clears; the controller itself writes unconditionally.
 func (c *Controller) WriteBack(now uint64, lineAddr uint64, plaintext []byte) (uint64, error) {
-	if _, ok := c.leafIdx[lineAddr]; !ok {
+	if _, ok := c.LeafIndex(lineAddr); !ok {
 		return 0, fmt.Errorf("secmem: writeback of unprotected line %#x", lineAddr)
 	}
 	c.stats.Writebacks++

@@ -653,3 +653,172 @@ func TestCounterBindingAndReplay(t *testing.T) {
 		t.Fatal("MAC tree accepted a full rollback")
 	}
 }
+
+// A range protected after the layout is sealed would have no ciphertext,
+// MAC, tree leaf or remap slot; Protect must refuse it.
+func TestProtectAfterFinishRejected(t *testing.T) {
+	r := newRig(t, nil)
+	protect(t, r, 0x1000, 0x1000)
+	if err := r.ctrl.Protect(0x8000, 64); err == nil {
+		t.Fatal("Protect after FinishProtection accepted")
+	}
+	if r.ctrl.IsProtected(0x8000) {
+		t.Fatal("rejected range became protected")
+	}
+	if _, err := r.ctrl.Fetch(0, 0x1000, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Sealing twice would re-seal every line and bump every counter; the
+// second FinishProtection must fail and leave the layout untouched.
+func TestFinishProtectionTwiceRejected(t *testing.T) {
+	r := newRig(t, nil)
+	protect(t, r, 0x1000, 0x1000)
+	if err := r.ctrl.LoadPlain(0x1040, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	before := r.m.Read(0x1000, 0x1000)
+	if err := r.ctrl.FinishProtection(); err == nil {
+		t.Fatal("second FinishProtection accepted")
+	}
+	if got := r.m.Read(0x1000, 0x1000); !bytes.Equal(got, before) {
+		t.Fatal("rejected FinishProtection changed the ciphertext")
+	}
+	if c := r.ctrl.Encryptor().Counter(0x1040); c != 2 {
+		t.Fatalf("counter %d after rejected reseal, want 2", c)
+	}
+	res, err := r.ctrl.Fetch(0, 0x1040, 0)
+	if err != nil || !res.AuthOK || !bytes.HasPrefix(res.Data, []byte("payload")) {
+		t.Fatalf("line no longer verifies: err=%v ok=%v", err, res.AuthOK)
+	}
+}
+
+func TestLoadPlainBeforeFinishRejected(t *testing.T) {
+	r := newRig(t, nil)
+	if err := r.ctrl.Protect(0x1000, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ctrl.LoadPlain(0x1000, []byte{1}); err == nil {
+		t.Fatal("LoadPlain before FinishProtection accepted")
+	}
+}
+
+// Sealing with an image must leave exactly the state that sealing zeroes
+// and then LoadPlain-ing each segment in turn leaves: ciphertext, counters,
+// MAC slots or tree, and remap slots — for segments that overlap, share
+// lines, span pages, hold zeroes, and for ranges not page-aligned.
+func TestFinishProtectionImageMatchesLoadPlain(t *testing.T) {
+	data := make([]byte, 3*mem.PageSize+100)
+	for i := 0; i < mem.PageSize; i += 7 {
+		data[i] = byte(i)
+	}
+	data[len(data)-1] = 0xee
+	image := []Segment{
+		{Addr: 0x10000 + 5, Data: data},                        // zero pages inside, partial ends
+		{Addr: 0x10000 + mem.PageSize, Data: make([]byte, 64)}, // second write of a zero line
+		{Addr: 0x40000, Data: []byte("text")},
+		{Addr: 0x40000 + 2, Data: []byte("XY")}, // same line again
+		{Addr: 0x50000, Data: nil},
+	}
+	ranges := [][2]uint64{{0x40000, 0x1000 - 64}, {0x10000, 4*mem.PageSize + 64*3}, {0x50000, 64}, {0x70000, 2 * mem.PageSize}}
+	configs := map[string]func(*Config){
+		"flat":       nil,
+		"tree":       func(c *Config) { c.UseTree = true },
+		"remap":      func(c *Config) { c.Remap = true },
+		"no-counter": func(c *Config) { c.MacCoversCounter = false },
+	}
+	for name, mutate := range configs {
+		t.Run(name, func(t *testing.T) {
+			got, want := newRig(t, mutate), newRig(t, mutate)
+			for _, r := range ranges {
+				for _, rg := range []*rig{got, want} {
+					if err := rg.ctrl.Protect(r[0], r[1]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := got.ctrl.FinishProtection(image...); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.ctrl.FinishProtection(); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range image {
+				if err := want.ctrl.LoadPlain(s.Addr, s.Data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, r := range ranges {
+				for a := r[0]; a < r[0]+r[1]; a += 64 {
+					if !bytes.Equal(got.m.Read(a, 64), want.m.Read(a, 64)) {
+						t.Fatalf("line %#x: ciphertext differs", a)
+					}
+					if g, w := got.ctrl.Encryptor().Counter(a), want.ctrl.Encryptor().Counter(a); g != w {
+						t.Fatalf("line %#x: counter %d, want %d", a, g, w)
+					}
+					idx, _ := got.ctrl.LeafIndex(a)
+					if !bytes.Equal(got.m.Read(got.ctrl.macAddr(idx), 8), want.m.Read(want.ctrl.macAddr(idx), 8)) {
+						t.Fatalf("line %#x: MAC slot differs", a)
+					}
+					if got.ctrl.remap != nil && got.ctrl.remap.slot(a, idx) != want.ctrl.remap.slot(a, idx) {
+						t.Fatalf("line %#x: remap slot differs", a)
+					}
+				}
+			}
+			if got.ctrl.tree != nil && !bytes.Equal(got.ctrl.tree.Root(), want.ctrl.tree.Root()) {
+				t.Fatal("tree root differs")
+			}
+			exp := make([]byte, 4*mem.PageSize)
+			copy(exp[5:], data)
+			clear(exp[mem.PageSize : mem.PageSize+64])
+			plain, err := got.ctrl.ReadPlain(0x10000, len(exp))
+			if err != nil || !bytes.Equal(plain, exp) {
+				t.Fatalf("image does not read back: %v", err)
+			}
+		})
+	}
+}
+
+func TestImageOutsideProtectionRejected(t *testing.T) {
+	r := newRig(t, nil)
+	if err := r.ctrl.Protect(0x1000, 64); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ctrl.FinishProtection(Segment{Addr: 0x1030, Data: make([]byte, 32)}); err == nil {
+		t.Fatal("image past the protected range accepted")
+	}
+}
+
+// The O(log n) jump-ahead reproduces the shuffle's step-by-step sequence.
+func TestLCGJump(t *testing.T) {
+	x := uint64(lcgSeed)
+	for n := uint64(0); n < 3000; n++ {
+		if got := lcgJump(lcgSeed, n); got != x {
+			t.Fatalf("lcgJump(%d) = %#x, want %#x", n, got, x)
+		}
+		x = x*lcgMul + lcgInc
+	}
+}
+
+// BenchmarkSealLine measures one write-back seal: counter bump, CTR
+// encryption, and the flat MAC written to the MAC store.
+func BenchmarkSealLine(b *testing.B) {
+	ctrl, err := New(DefaultConfig(), mem.New(), bus.MustNew(bus.Default()), dram.MustNew(dram.Default()), encKey, macKey)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ctrl.Protect(0x1000, 64); err != nil {
+		b.Fatal(err)
+	}
+	if err := ctrl.FinishProtection(); err != nil {
+		b.Fatal(err)
+	}
+	line := bytes.Repeat([]byte{0xab}, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := ctrl.storeLine(0x1000, line); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"authpoint/internal/policy"
+	"authpoint/internal/sim"
 )
 
 // TestFastPathBenchRegression is the CI bench-regression gate. It measures
@@ -78,4 +79,86 @@ func TestFastPathBenchRegression(t *testing.T) {
 			"(baseline %.3f +25%%); profile the fast path or re-record BENCH_fastpath.json deliberately",
 			ratio, max, rec.RegressionBaseline.FastOverSlow)
 	}
+}
+
+// TestSetupBenchRegression is the CI gate on machine construction. It
+// times a warm build of the probe machine (mcfx plus the 1 MiB probe
+// region, the shape two-run contract checks build) against a fixed
+// simulation run on the same host, and fails if the build/run ratio has
+// grown more than 25% past the recorded one (BENCH_layers.json,
+// regression_baseline.max_build_over_run). Like the fast-path gate it
+// compares a ratio of two measurements taken seconds apart, which holds
+// across runner hardware where absolute times do not. Opt-in with
+// BENCH_REGRESS=1, as CI sets.
+func TestSetupBenchRegression(t *testing.T) {
+	if os.Getenv("BENCH_REGRESS") == "" {
+		t.Skip("set BENCH_REGRESS=1 to run the bench-regression gate")
+	}
+	raw, err := os.ReadFile("../../BENCH_layers.json")
+	if err != nil {
+		t.Fatalf("reading checked-in baseline: %v", err)
+	}
+	var rec struct {
+		RegressionBaseline struct {
+			BuildOverRun    float64 `json:"build_over_run"`
+			MaxBuildOverRun float64 `json:"max_build_over_run"`
+		} `json:"regression_baseline"`
+	}
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatalf("parsing BENCH_layers.json: %v", err)
+	}
+	limit := rec.RegressionBaseline.MaxBuildOverRun
+	if limit <= 0 {
+		t.Fatalf("baseline max_build_over_run = %v, want a positive ratio", limit)
+	}
+	build, run := setupOverRun(t)
+	ratio := build / run
+	t.Logf("probe build %.3f ms, fixed run %.3f ms, build/run %.4f (baseline %.4f, gate %.4f)",
+		build/1e6, run/1e6, ratio, rec.RegressionBaseline.BuildOverRun, limit)
+	if ratio > limit {
+		t.Errorf("machine construction regressed: build/run = %.4f > %.4f allowed "+
+			"(baseline %.4f +25%%); profile NewMachineWithRegions or re-record BENCH_layers.json deliberately",
+			ratio, limit, rec.RegressionBaseline.BuildOverRun)
+	}
+}
+
+// setupOverRun returns the best-of-several host nanoseconds of a warm probe
+// machine build and of a fixed 50k-instruction then-commit run.
+func setupOverRun(t *testing.T) (build, run float64) {
+	p := assembleWorkload(t, "mcfx")
+	cfg := sim.DefaultConfig()
+	cfg.Policy = policy.ThenCommit
+	best := func(n int, f func()) float64 {
+		b := -1.0
+		for i := 0; i < n; i++ {
+			start := time.Now()
+			f()
+			if d := float64(time.Since(start).Nanoseconds()); b < 0 || d < b {
+				b = d
+			}
+		}
+		return b
+	}
+	newProbe := func() {
+		if _, err := sim.NewMachineWithRegions(cfg, p, probeRegion); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newProbe() // fill the sealed-zero table: the gate times warm builds
+	for round := 0; round < 3; round++ {
+		b := best(20, newProbe)
+		m := benchMachine(t, policy.ThenCommit, 50_000, false)
+		r := best(1, func() {
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if round == 0 || b < build {
+			build = b
+		}
+		if round == 0 || r < run {
+			run = r
+		}
+	}
+	return build, run
 }

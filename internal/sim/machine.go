@@ -205,16 +205,12 @@ func (m *Machine) load(p *asm.Program) error {
 		}
 		m.Space.MapRange(r.start, r.size)
 	}
-	if err := m.Ctrl.FinishProtection(); err != nil {
+	// Seal the layout with the image in place: text and data lines go
+	// straight to their loaded state, the rest of every region is sealed
+	// zeroes (shared from the controller's sealed-zero table).
+	image := []secmem.Segment{{Addr: p.TextBase, Data: text}, {Addr: p.DataBase, Data: p.Data}}
+	if err := m.Ctrl.FinishProtection(image...); err != nil {
 		return err
-	}
-	if err := m.Ctrl.LoadPlain(p.TextBase, text); err != nil {
-		return err
-	}
-	if len(p.Data) > 0 {
-		if err := m.Ctrl.LoadPlain(p.DataBase, p.Data); err != nil {
-			return err
-		}
 	}
 	m.Shadow.Write(p.TextBase, text)
 	m.Shadow.Write(p.DataBase, p.Data)

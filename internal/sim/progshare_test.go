@@ -40,8 +40,9 @@ func (s progSnapshot) equal(p *asm.Program) bool {
 }
 
 // TestProgramImmutable pins the contract the parallel sweep engine's
-// assembled-image cache depends on: NewMachine copies the program into each
-// machine's own memories, and running the machine — including a
+// assembled-image cache depends on: NewMachine only reads the program
+// (sealing it into the machine's external memory and shadow), and running
+// the machine — including a
 // store-heavy workload that dirties its data section — never writes back
 // through the shared *asm.Program.
 func TestProgramImmutable(t *testing.T) {
