@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"authpoint/internal/obs"
 )
@@ -42,11 +43,16 @@ type Stats struct {
 
 // Cache is a set-associative cache model.
 type Cache struct {
-	cfg   Config
-	sets  int
-	lines [][]Line // [set][way]
-	order [][]int  // LRU order: order[s][0] = MRU way
-	stats Stats
+	cfg  Config
+	sets int
+	// lineShift = log2(LineB) and setBits = log2(sets): New requires both
+	// to be powers of two, so index splits an address with shifts and a
+	// mask instead of divisions.
+	lineShift uint
+	setBits   uint
+	lines     [][]Line // [set][way]
+	order     [][]int  // LRU order: order[s][0] = MRU way
+	stats     Stats
 
 	sink  obs.Sink
 	track obs.Track
@@ -77,7 +83,9 @@ func New(cfg Config) (*Cache, error) {
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cfg.Name, sets)
 	}
-	c := &Cache{cfg: cfg, sets: sets}
+	c := &Cache{cfg: cfg, sets: sets,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineB))),
+		setBits:   uint(bits.TrailingZeros(uint(sets)))}
 	// One backing array per table, sliced per set: a machine builds
 	// several caches with thousands of sets, and per-set allocations
 	// dominated its construction.
@@ -111,8 +119,32 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineB-1) }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	line := addr / uint64(c.cfg.LineB)
-	return int(line % uint64(c.sets)), line / uint64(c.sets)
+	line := addr >> c.lineShift
+	return int(line & uint64(c.sets-1)), line >> c.setBits
+}
+
+// lineAddrOf rebuilds the address of the line with tag in set.
+func (c *Cache) lineAddrOf(tag uint64, set int) uint64 {
+	return (tag<<c.setBits | uint64(set)) << c.lineShift
+}
+
+// Slots returns the number of line slots (sets × ways). Slot numbers are
+// in [0, Slots()).
+func (c *Cache) Slots() int { return c.sets * c.cfg.Ways }
+
+// Slot returns the slot number (set*Ways + way) holding addr's line, or -1
+// if the line is not resident, without updating LRU or stats. A slot keeps
+// its number while the line stays resident; a Fill that evicts the line
+// reuses the slot for the new one. Owners keep per-line state in an array
+// indexed by slot instead of growing Line, which every cache allocates.
+func (c *Cache) Slot(addr uint64) int {
+	set, tag := c.index(addr)
+	for w := range c.lines[set] {
+		if l := &c.lines[set][w]; l.Valid && l.Tag == tag {
+			return set*c.cfg.Ways + w
+		}
+	}
+	return -1
 }
 
 // Probe reports whether addr hits, without updating LRU or stats.
@@ -170,7 +202,7 @@ func (c *Cache) Fill(addr uint64, write bool) (*Line, *Victim) {
 	if l.Valid {
 		c.stats.Evictions++
 		ev = &Victim{
-			Addr:  (l.Tag*uint64(c.sets) + uint64(set)) * uint64(c.cfg.LineB),
+			Addr:  c.lineAddrOf(l.Tag, set),
 			Dirty: l.Dirty,
 			Aux:   l.Aux,
 		}
@@ -207,7 +239,7 @@ func (c *Cache) InvalidateAll() []Victim {
 			if l.Valid {
 				if l.Dirty {
 					out = append(out, Victim{
-						Addr:  (l.Tag*uint64(c.sets) + uint64(s)) * uint64(c.cfg.LineB),
+						Addr:  c.lineAddrOf(l.Tag, s),
 						Dirty: true,
 						Aux:   l.Aux,
 					})

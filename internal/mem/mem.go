@@ -10,6 +10,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"slices"
 )
 
 // PageSize is the virtual/physical page size (4KB, the paper's §3.3 premise:
@@ -48,17 +49,16 @@ func New() *Memory {
 }
 
 // readPage returns the page containing addr for reading, nil if it was
-// never written.
+// never written. An absent page is cached too (as nil): a scan over a
+// never-written region then costs one map lookup per page, not per access.
+// Only writePage and SharePage add pages, and both update the cache.
 func (m *Memory) readPage(addr uint64) []byte {
 	pn := addr >> PageShift
 	if pn == m.lastPN {
 		return m.lastPage
 	}
-	p, ok := m.pages[pn]
-	if !ok {
-		return nil
-	}
-	m.lastPN, m.lastPage, m.lastOwned = pn, p.b, !p.shared
+	p := m.pages[pn]
+	m.lastPN, m.lastPage, m.lastOwned = pn, p.b, p.b != nil && !p.shared
 	return p.b
 }
 
@@ -166,19 +166,45 @@ func IsZero(b []byte) bool {
 	return true
 }
 
-// ReadUint reads an n-byte little-endian unsigned integer (n <= 8).
+// ReadUint reads an n-byte little-endian unsigned integer (n <= 8). An
+// access within one page costs one page lookup; one that crosses a page
+// boundary goes byte by byte.
 func (m *Memory) ReadUint(addr uint64, n int) uint64 {
+	off := addr & (PageSize - 1)
+	if off+uint64(n) > PageSize {
+		var v uint64
+		for i := 0; i < n; i++ {
+			v |= uint64(m.LoadByte(addr+uint64(i))) << (8 * i)
+		}
+		return v
+	}
+	p := m.readPage(addr)
+	if p == nil {
+		return 0
+	}
 	var v uint64
-	for i := 0; i < n; i++ {
-		v |= uint64(m.LoadByte(addr+uint64(i))) << (8 * i)
+	for i, b := range p[off : off+uint64(n)] {
+		v |= uint64(b) << (8 * i)
 	}
 	return v
 }
 
-// WriteUint stores an n-byte little-endian unsigned integer (n <= 8).
+// WriteUint stores an n-byte little-endian unsigned integer (n <= 8), with
+// one page lookup when the access stays within a page.
 func (m *Memory) WriteUint(addr uint64, v uint64, n int) {
-	for i := 0; i < n; i++ {
-		m.StoreByte(addr+uint64(i), byte(v>>(8*i)))
+	if n <= 0 {
+		return
+	}
+	off := addr & (PageSize - 1)
+	if off+uint64(n) > PageSize {
+		for i := 0; i < n; i++ {
+			m.StoreByte(addr+uint64(i), byte(v>>(8*i)))
+		}
+		return
+	}
+	p := m.writePage(addr)[off : off+uint64(n)]
+	for i := range p {
+		p[i] = byte(v >> (8 * i))
 	}
 }
 
@@ -204,38 +230,107 @@ func (m *Memory) Snapshot(addr uint64, n int) []byte { return m.Read(addr, n) }
 // keeps the fault log that Section 3.3's "read the displayed fault address"
 // attack consumes.
 type AddressSpace struct {
-	valid map[uint64]bool
+	// runs are the mapped pages as half-open page-number runs [lo, hi),
+	// sorted, disjoint and never adjacent (touching runs are merged). A
+	// machine maps a handful of regions, so Valid is a binary search over
+	// a few runs instead of a map lookup per access.
+	runs []pageRun
 	// Disabled turns off translation checking entirely, as on the no-VM
 	// embedded processors the paper notes (§3.3): every address is valid.
 	Disabled bool
 	faultLog []uint64
 }
 
+// pageRun is the page-number range [lo, hi).
+type pageRun struct{ lo, hi uint64 }
+
 // NewAddressSpace creates an address space with no valid pages.
-func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{valid: map[uint64]bool{}}
+func NewAddressSpace() *AddressSpace { return &AddressSpace{} }
+
+// search returns the index of the first run with hi > pn: the run that
+// contains pn if any does, else where a run starting at pn would go.
+func (s *AddressSpace) search(pn uint64) int {
+	lo, hi := 0, len(s.runs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.runs[mid].hi <= pn {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
-// MapRange marks [addr, addr+n) valid.
+// MapRange marks [addr, addr+n) valid, merging it with every run it
+// overlaps or touches. A range past the top of the address space is
+// clipped there.
 func (s *AddressSpace) MapRange(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	for pn := addr >> PageShift; pn <= (addr+n-1)>>PageShift; pn++ {
-		s.valid[pn] = true
+	end := addr + n - 1
+	if end < addr {
+		end = ^uint64(0)
+	}
+	r := pageRun{addr >> PageShift, end>>PageShift + 1}
+	// Runs [i, j) overlap or touch r: run i is the first whose end reaches
+	// r.lo, run j the first that starts past r.hi.
+	i := s.search(r.lo)
+	if i > 0 && s.runs[i-1].hi == r.lo {
+		i--
+	}
+	j := i
+	for j < len(s.runs) && s.runs[j].lo <= r.hi {
+		j++
+	}
+	if i < j {
+		r.lo = min(r.lo, s.runs[i].lo)
+		r.hi = max(r.hi, s.runs[j-1].hi)
+	}
+	s.runs = slices.Replace(s.runs, i, j, r)
+}
+
+// UnmapPage invalidates the page containing addr, splitting its run when
+// the page lies inside one.
+func (s *AddressSpace) UnmapPage(addr uint64) {
+	pn := addr >> PageShift
+	i := s.search(pn)
+	if i == len(s.runs) || s.runs[i].lo > pn {
+		return
+	}
+	r := s.runs[i]
+	switch {
+	case r.lo == pn && r.hi == pn+1:
+		s.runs = slices.Delete(s.runs, i, i+1)
+	case r.lo == pn:
+		s.runs[i].lo++
+	case r.hi == pn+1:
+		s.runs[i].hi--
+	default:
+		s.runs[i].hi = pn
+		s.runs = slices.Insert(s.runs, i+1, pageRun{pn + 1, r.hi})
 	}
 }
 
-// UnmapPage invalidates the page containing addr.
-func (s *AddressSpace) UnmapPage(addr uint64) { delete(s.valid, addr>>PageShift) }
-
 // Valid reports whether addr is mapped.
 func (s *AddressSpace) Valid(addr uint64) bool {
-	return s.Disabled || s.valid[addr>>PageShift]
+	if s.Disabled {
+		return true
+	}
+	pn := addr >> PageShift
+	i := s.search(pn)
+	return i < len(s.runs) && s.runs[i].lo <= pn
 }
 
 // MappedPages returns how many pages are mapped.
-func (s *AddressSpace) MappedPages() int { return len(s.valid) }
+func (s *AddressSpace) MappedPages() int {
+	n := uint64(0)
+	for _, r := range s.runs {
+		n += r.hi - r.lo
+	}
+	return int(n)
+}
 
 // Fault records a translation fault for addr. Faulting addresses are logged
 // in the clear: the paper observes that real systems display or log faulting

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -275,5 +276,160 @@ func TestTLBBadShape(t *testing.T) {
 	}
 	if _, err := NewTLB(10, 4); err == nil {
 		t.Error("non-divisible shape accepted")
+	}
+}
+
+// Property: ReadUint/WriteUint, which touch one page per access that fits
+// in a page, agree with the byte-at-a-time model on every offset and width,
+// across page boundaries, on never-written pages and on shared
+// copy-on-write pages, whose buffer must never change.
+func TestQuickUintMatchesByteLoop(t *testing.T) {
+	shared := make([]byte, PageSize)
+	rand.New(rand.NewSource(7)).Read(shared)
+	pristine := bytes.Clone(shared)
+	// Pages 0 and 3 start shared, page 1 absent, page 2 private.
+	setup := func() *Memory {
+		m := New()
+		m.SharePage(0, shared)
+		m.SharePage(3*PageSize, shared)
+		m.Write(2*PageSize, pristine)
+		return m
+	}
+	fast, ref := setup(), setup()
+	refRead := func(addr uint64, n int) uint64 {
+		var v uint64
+		for i := 0; i < n; i++ {
+			v |= uint64(ref.LoadByte(addr+uint64(i))) << (8 * i)
+		}
+		return v
+	}
+	f := func(pg uint8, off uint16, nearEnd bool, n uint8, write bool, v uint64) bool {
+		addr := uint64(pg%4) * PageSize
+		if nearEnd {
+			addr += PageSize - uint64(off%9) // 0..8 bytes before the next page
+		} else {
+			addr += uint64(off) % PageSize
+		}
+		width := int(n%8) + 1
+		if write {
+			fast.WriteUint(addr, v, width)
+			for i := 0; i < width; i++ {
+				ref.StoreByte(addr+uint64(i), byte(v>>(8*i)))
+			}
+		}
+		for w := 1; w <= 8; w++ {
+			if fast.ReadUint(addr, w) != refRead(addr, w) {
+				return false
+			}
+		}
+		return bytes.Equal(shared, pristine)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+	// The whole four-page window agrees byte for byte afterwards.
+	if !bytes.Equal(fast.Read(0, 4*PageSize+8), ref.Read(0, 4*PageSize+8)) {
+		t.Error("memories diverge after the random accesses")
+	}
+	// A read of an absent page allocates nothing, and a zero-width write
+	// is a no-op. The absent page stays cached until a page appears there.
+	m := New()
+	m.WriteUint(5*PageSize, 1, 0)
+	if m.ReadUint(5*PageSize, 8) != 0 || len(m.pages) != 0 {
+		t.Errorf("absent page: %d pages allocated", len(m.pages))
+	}
+	m.SharePage(5*PageSize, shared)
+	if got, want := m.ReadUint(5*PageSize, 8), binary.LittleEndian.Uint64(shared); got != want {
+		t.Errorf("shared over a cached absent page reads %#x, want %#x", got, want)
+	}
+	m.ReadUint(6*PageSize, 8)
+	m.WriteUint(6*PageSize, 0xab, 1)
+	if m.ReadUint(6*PageSize, 1) != 0xab {
+		t.Error("write to a cached absent page lost")
+	}
+}
+
+// checkRuns asserts the page-run representation's invariants: sorted,
+// non-empty, disjoint and never adjacent.
+func checkRuns(t *testing.T, s *AddressSpace) {
+	t.Helper()
+	for i, r := range s.runs {
+		if r.lo >= r.hi {
+			t.Fatalf("run %d empty: %+v", i, r)
+		}
+		if i > 0 && s.runs[i-1].hi >= r.lo {
+			t.Fatalf("runs %d,%d overlap or touch: %+v %+v", i-1, i, s.runs[i-1], r)
+		}
+	}
+}
+
+// Property: random MapRange/UnmapPage sequences — overlapping, adjacent
+// and zero-length ranges, splits at run ends and inside runs — agree page
+// for page with a reference map, MappedPages included, and Disabled
+// overrides every page without changing the map.
+func TestAddressSpaceMatchesReferenceMap(t *testing.T) {
+	const pages = 64
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewAddressSpace()
+		ref := map[uint64]bool{}
+		for op := 0; op < 40; op++ {
+			addr := uint64(rng.Intn(pages))*PageSize + uint64(rng.Intn(3))*uint64(rng.Intn(PageSize))
+			if rng.Intn(3) > 0 {
+				n := uint64(rng.Intn(6)) * PageSize
+				if rng.Intn(2) == 0 {
+					n += uint64(rng.Intn(PageSize))
+				}
+				s.MapRange(addr, n)
+				if n > 0 {
+					for pn := addr >> PageShift; pn <= (addr+n-1)>>PageShift; pn++ {
+						ref[pn] = true
+					}
+				}
+			} else {
+				s.UnmapPage(addr)
+				delete(ref, addr>>PageShift)
+			}
+			checkRuns(t, s)
+			if s.MappedPages() != len(ref) {
+				t.Fatalf("seed %d op %d: MappedPages %d, want %d", seed, op, s.MappedPages(), len(ref))
+			}
+			for pn := uint64(0); pn < pages+8; pn++ {
+				a := pn<<PageShift + uint64(rng.Intn(PageSize))
+				if s.Valid(a) != ref[pn] {
+					t.Fatalf("seed %d op %d: Valid(%#x) = %v, want %v (runs %v)", seed, op, a, s.Valid(a), ref[pn], s.runs)
+				}
+			}
+		}
+		s.Disabled = true
+		for pn := uint64(0); pn < pages+8; pn++ {
+			if !s.Valid(pn << PageShift) {
+				t.Fatalf("seed %d: Disabled space rejects page %d", seed, pn)
+			}
+		}
+		s.Disabled = false
+		for pn := uint64(0); pn < pages+8; pn++ {
+			if s.Valid(pn<<PageShift) != ref[pn] {
+				t.Fatalf("seed %d: page %d changed across Disabled", seed, pn)
+			}
+		}
+	}
+}
+
+// Valid sits on every fetch and load of the simulated machine: it must not
+// allocate.
+func TestAddressSpaceValidAllocs(t *testing.T) {
+	s := NewAddressSpace()
+	for i := uint64(0); i < 8; i++ {
+		s.MapRange(i*16*PageSize, 4*PageSize)
+	}
+	var sink bool
+	allocs := testing.AllocsPerRun(1000, func() {
+		for a := uint64(0); a < 128*PageSize; a += PageSize / 2 {
+			sink = s.Valid(a) != sink
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Valid allocates %.1f times per run", allocs)
 	}
 }

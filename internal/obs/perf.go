@@ -87,6 +87,13 @@ type Perf struct {
 	DisambShortCircuits uint64
 	DisambScans         uint64
 	DisambVisits        uint64
+
+	// Ready-bitmap issue walk: issue-stage walks performed (cycles with at
+	// least one waiting entry), and ready-candidate entries visited across
+	// them. Waiting entries blocked on operands are never visited, so
+	// visits per scan tracks the issue candidates, not window occupancy.
+	IssueScans  uint64
+	IssueVisits uint64
 }
 
 // AddTo folds the counters into a snapshot (adding to any values already
@@ -116,6 +123,8 @@ func (p *Perf) AddTo(s *Snapshot) {
 	c["fastpath.disamb.shortcircuit"] += p.DisambShortCircuits
 	c["fastpath.disamb.scans"] += p.DisambScans
 	c["fastpath.disamb.visits"] += p.DisambVisits
+	c["fastpath.issue.scans"] += p.IssueScans
+	c["fastpath.issue.visits"] += p.IssueVisits
 	for b := SkipBound(0); b < NumSkipBounds; b++ {
 		if p.SkipBoundCycles[b] > 0 {
 			c["fastpath.skip.bound."+b.String()+".cycles"] += p.SkipBoundCycles[b]

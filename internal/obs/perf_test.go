@@ -13,6 +13,7 @@ func TestPerfAddToNames(t *testing.T) {
 		Broadcasts: 7, ConsumerVisits: 20, StaleWakes: 3, Wakes: 17,
 		WritebackScans: 9, WatermarkRescans: 4,
 		DisambShortCircuits: 6, DisambScans: 2, DisambVisits: 11,
+		IssueScans: 8, IssueVisits: 13,
 	}
 	p.SkipBoundCycles[BoundDram] = 400
 	p.SkipBoundCycles[BoundSecmem] = 100
@@ -33,6 +34,8 @@ func TestPerfAddToNames(t *testing.T) {
 		"fastpath.disamb.shortcircuit":      6,
 		"fastpath.disamb.scans":             2,
 		"fastpath.disamb.visits":            11,
+		"fastpath.issue.scans":              8,
+		"fastpath.issue.visits":             13,
 		"fastpath.skip.bound.dram.cycles":   400,
 		"fastpath.skip.bound.secmem.cycles": 100,
 	}

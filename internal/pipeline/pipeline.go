@@ -244,11 +244,21 @@ type Core struct {
 	// Occupancy bitmaps over RUU slots, one bit per slot: which entries are
 	// waiting to issue, issued but not complete, and stores (any state).
 	// Stage scans iterate set bits in ring age order instead of walking the
-	// whole window, so a full 128-entry RUU with three waiting entries costs
-	// three visits, not 128.
+	// whole window.
 	waitMask  []uint64
 	issueMask []uint64
 	storeMask []uint64
+
+	// readyMask ⊆ waitMask marks the waiting entries the issue stage would
+	// act on: every operand captured, or a store whose base is captured and
+	// whose address is not yet computed (see issueCandidate). Dispatch and
+	// the wakeup broadcast set a bit when the condition completes;
+	// markIssued, squashAfter and issue's early address calculation clear
+	// it. Issue, NextEventAt and SkipTo walk this mask, so an entry blocked
+	// on operands behind a long-latency load costs no visits until its
+	// producer completes: per-cycle scan work follows the cycle's events,
+	// not the window's occupancy.
+	readyMask []uint64
 
 	halted   bool
 	fault    FaultKind
@@ -327,6 +337,7 @@ func New(cfg Config, mem MemPort, entryPC uint64) (*Core, error) {
 		waitMask:  make([]uint64, words),
 		issueMask: make([]uint64, words),
 		storeMask: make([]uint64, words),
+		readyMask: make([]uint64, words),
 	}
 	for i := range c.renameInt {
 		c.renameInt[i] = -1
@@ -498,7 +509,7 @@ func (c *Core) NextEventAt() uint64 {
 	if c.waiting > 0 && c.cfg.GateIssue {
 		// Operand-ready entries held by authen-then-issue become eligible
 		// when their I-line verification completes.
-		c.maskOrder(c.waitMask, func(idx int, e *entry) bool {
+		c.maskOrder(c.readyMask, func(idx int, e *entry) bool {
 			for s := 0; s < e.nsrc; s++ {
 				if e.srcTag[s] != -1 {
 					return true
@@ -548,7 +559,7 @@ func (c *Core) SkipTo(t uint64) (sbFullCycles uint64) {
 	}
 	if c.waiting > 0 && c.cfg.GateIssue {
 		held := uint64(0)
-		c.maskOrder(c.waitMask, func(idx int, e *entry) bool {
+		c.maskOrder(c.readyMask, func(idx int, e *entry) bool {
 			for s := 0; s < e.nsrc; s++ {
 				if e.srcTag[s] != -1 {
 					return true

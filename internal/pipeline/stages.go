@@ -174,6 +174,9 @@ func (c *Core) broadcast(idx int, e *entry) {
 			w.srcTag[s] = -1
 			w.srcVal[s] = e.result
 			woken++
+			if w.state == stWaiting && w.issueCandidate() {
+				maskSet(c.readyMask, int(packed>>1))
+			}
 		}
 	}
 	if c.perf != nil {
@@ -212,6 +215,7 @@ func (c *Core) squashAfter(idx int) {
 				c.inflight--
 			}
 			maskClear(c.waitMask, p)
+			maskClear(c.readyMask, p)
 			maskClear(c.issueMask, p)
 			maskClear(c.storeMask, p)
 			e.valid = false
@@ -248,11 +252,16 @@ func (c *Core) issue() {
 	}
 	issued := 0
 	authHeld := false
-	// The waiting bitmap visits exactly the stWaiting entries in age order.
-	c.maskOrder(c.waitMask, func(idx int, e *entry) bool {
+	var visits uint64
+	// The ready bitmap visits, in age order, exactly the waiting entries
+	// this walk can act on. The waiting entries it skips are blocked on
+	// operands, for which the walk did nothing, so the issue-width cutoff
+	// lands on the same entry it would in a walk of every waiting entry.
+	c.maskOrder(c.readyMask, func(idx int, e *entry) bool {
 		if issued >= c.cfg.IssueWidth {
 			return false
 		}
+		visits++
 		// Early store-address calculation (does not consume an issue slot):
 		// lets younger loads disambiguate sooner.
 		if e.isStore && !e.addrValid && e.srcTag[0] == -1 {
@@ -260,7 +269,10 @@ func (c *Core) issue() {
 		}
 		for s := 0; s < e.nsrc; s++ {
 			if e.srcTag[s] != -1 {
-				return true // operands outstanding
+				// A store whose address is now computed waits on its data:
+				// no longer a candidate until the data's producer wakes it.
+				maskClear(c.readyMask, idx)
+				return true
 			}
 		}
 		if c.cfg.GateIssue && c.now < e.instAuthDone {
@@ -281,11 +293,32 @@ func (c *Core) issue() {
 		c.stats.Issued++
 		return true
 	})
+	if c.perf != nil {
+		c.perf.IssueScans++
+		c.perf.IssueVisits += visits
+	}
 	if authHeld {
 		c.stallBegin(obs.StallIssueAuth)
 	} else {
 		c.stallEnd(obs.StallIssueAuth)
 	}
+}
+
+// issueCandidate reports whether the issue stage acts on waiting entry e:
+// every operand is captured (it issues, or the issue gate holds it), or it
+// is a store whose base is captured and whose address is not yet computed
+// (the early address calculation). The ready bitmap marks exactly the
+// waiting entries for which this holds.
+func (e *entry) issueCandidate() bool {
+	if e.isStore && !e.addrValid && e.srcTag[0] == -1 {
+		return true
+	}
+	for s := 0; s < e.nsrc; s++ {
+		if e.srcTag[s] != -1 {
+			return false
+		}
+	}
+	return true
 }
 
 func (c *Core) computeAddr(e *entry) {
@@ -413,6 +446,7 @@ func (c *Core) markIssued(idx int, e *entry) {
 	c.waiting--
 	c.inflight++
 	maskClear(c.waitMask, idx)
+	maskClear(c.readyMask, idx)
 	maskSet(c.issueMask, idx)
 	c.progress = true
 	if c.sink != nil {
@@ -593,6 +627,9 @@ func (c *Core) dispatch() {
 		} else {
 			c.waiting++
 			maskSet(c.waitMask, idx)
+			if e.issueCandidate() {
+				maskSet(c.readyMask, idx)
+			}
 		}
 		c.stats.Dispatched++
 	}

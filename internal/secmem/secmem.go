@@ -222,6 +222,11 @@ type Controller struct {
 	arriveCycle []uint64
 	engineFree  []uint64 // per verification unit
 
+	// lastAtNow/lastAtIdx cache LastRequestAt's previous query and answer.
+	// The core asks at a clock that rarely goes backwards, so the next
+	// answer is usually found by stepping forward from the last one.
+	lastAtNow, lastAtIdx uint64
+
 	fault *Fault
 
 	// modelErr records the first internal inconsistency (malformed gate
@@ -1015,17 +1020,30 @@ func (c *Controller) LastRequest() uint64 { return uint64(len(c.doneCycle)) }
 // given cycle: the newest request whose data had arrived (entered the
 // authentication queue) by then. Fetches still outstanding at that cycle
 // are not counted — they must not gate a new fetch (§4.2.4).
+//
+// The answer is the number of arrivals at or before now. Arrivals are
+// monotone and only ever appended, so for a query at or after the previous
+// one every arrival the previous answer counted still counts, and the
+// answer resumes from it; a query that goes back in time binary searches.
 func (c *Controller) LastRequestAt(now uint64) uint64 {
-	// Binary search the monotone arrival sequence.
-	lo, hi := 0, len(c.arriveCycle)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.arriveCycle[mid] <= now {
-			lo = mid + 1
-		} else {
-			hi = mid
+	lo := 0
+	if now >= c.lastAtNow {
+		lo = int(c.lastAtIdx)
+		for lo < len(c.arriveCycle) && c.arriveCycle[lo] <= now {
+			lo++
+		}
+	} else {
+		hi := len(c.arriveCycle)
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if c.arriveCycle[mid] <= now {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
 	}
+	c.lastAtNow, c.lastAtIdx = now, uint64(lo)
 	return uint64(lo)
 }
 

@@ -77,7 +77,6 @@ func DefaultMemConfig() MemConfig {
 type lineInfo struct {
 	authIdx  uint64
 	authDone uint64
-	usableAt uint64
 }
 
 type sbEntry struct {
@@ -102,7 +101,10 @@ type MemSystem struct {
 	shadow *mem.Memory // architectural plaintext view (fills overwrite it)
 	space  *mem.AddressSpace
 
-	lines map[uint64]lineInfo // resident L2 lines' authentication state
+	// l2Info is the authentication state of the resident L2 lines, indexed
+	// by L2 slot (cache.Slot). A fill overwrites its slot, so an evicted
+	// line's state leaves with it; a line not in the L2 reports zero.
+	l2Info []lineInfo
 
 	inflight []uint64 // usable-at cycles of outstanding fills (MSHR model)
 
@@ -163,9 +165,9 @@ func NewMemSystem(cfg MemConfig, ctrl *secmem.Controller, shadow *mem.Memory, sp
 	return &MemSystem{
 		cfg: cfg, l1i: l1i, l1d: l1d, l2: l2, itlb: itlb, dtlb: dtlb,
 		ctrl: ctrl, shadow: shadow, space: space,
-		wbBuf: make([]byte, cfg.L2LineB),
-		lines: map[uint64]lineInfo{},
-		sb:    make([]sbEntry, cfg.StoreBufSize),
+		wbBuf:  make([]byte, cfg.L2LineB),
+		l2Info: make([]lineInfo, l2.Slots()),
+		sb:     make([]sbEntry, cfg.StoreBufSize),
 	}, nil
 }
 
@@ -214,7 +216,7 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 		if l.Aux > ready {
 			ready = l.Aux // fill still in flight
 		}
-		return ready, ms.lines[l2Line], nil
+		return ready, ms.l2LineInfo(addr), nil
 	}
 
 	// L1 miss -> L2.
@@ -228,7 +230,7 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 		if isWrite {
 			l.Dirty = true
 		}
-		return ready, ms.lines[l2Line], nil
+		return ready, ms.l2LineInfo(addr), nil
 	}
 
 	// L2 miss -> external fetch through the secure memory controller.
@@ -272,8 +274,9 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 	if isWrite {
 		l.Dirty = true
 	}
+	slot := ms.l2.Slot(addr)
+	ms.l2Info[slot] = lineInfo{} // the victim's state leaves with it
 	if victim != nil {
-		delete(ms.lines, victim.Addr)
 		if victim.Dirty {
 			ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
 			if _, err := ms.ctrl.WriteBack(now, victim.Addr, ms.wbBuf); err != nil {
@@ -281,8 +284,8 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 			}
 		}
 	}
-	info = lineInfo{authIdx: res.AuthIdx, authDone: res.AuthDone, usableAt: usable}
-	ms.lines[l2Line] = info
+	info = lineInfo{authIdx: res.AuthIdx, authDone: res.AuthDone}
+	ms.l2Info[slot] = info
 	ms.fillL1(l1, addr, isWrite, usable)
 	if ms.cfg.MSHRs > 0 {
 		ms.inflight = append(ms.inflight, res.DataReady)
@@ -292,6 +295,15 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 		ms.prefetch(now, l2Line+uint64(ms.cfg.L2LineB), constraint)
 	}
 	return usable, info, nil
+}
+
+// l2LineInfo returns the authentication state of addr's L2 line, zero when
+// the line is not resident in the L2.
+func (ms *MemSystem) l2LineInfo(addr uint64) lineInfo {
+	if s := ms.l2.Slot(addr); s >= 0 {
+		return ms.l2Info[s]
+	}
+	return lineInfo{}
 }
 
 // mshrAdmit models a bounded miss-register file: prune fills that complete
@@ -340,14 +352,11 @@ func (ms *MemSystem) prefetch(now uint64, lineAddr uint64, constraint uint64) {
 	ms.overlaySB(lineAddr)
 	l, victim := ms.l2.Fill(lineAddr, false)
 	l.Aux = usable
-	if victim != nil {
-		delete(ms.lines, victim.Addr)
-		if victim.Dirty {
-			ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
-			ms.ctrl.WriteBack(now, victim.Addr, ms.wbBuf)
-		}
+	if victim != nil && victim.Dirty {
+		ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
+		ms.ctrl.WriteBack(now, victim.Addr, ms.wbBuf)
 	}
-	ms.lines[lineAddr] = lineInfo{authIdx: res.AuthIdx, authDone: res.AuthDone, usableAt: usable}
+	ms.l2Info[ms.l2.Slot(lineAddr)] = lineInfo{authIdx: res.AuthIdx, authDone: res.AuthDone}
 	ms.Prefetches++
 }
 
