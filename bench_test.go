@@ -14,7 +14,6 @@ import (
 
 	"authpoint"
 	"authpoint/internal/experiments"
-	"authpoint/internal/harness"
 	"authpoint/internal/obs"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
@@ -273,8 +272,8 @@ func BenchmarkSimTraceOn(b *testing.B) {
 }
 
 // BenchmarkSweepParallelism runs the same quick sweep on a one-worker pool
-// and on a NumCPU-sized pool. Each iteration uses a fresh Runner so the
-// baseline memo and image cache start cold; the comparison isolates the
+// and on a NumCPU-sized pool. Each iteration's sweep takes a fresh baseline
+// memo, so it starts cold; the comparison isolates the
 // worker-pool fan-out itself.
 func BenchmarkSweepParallelism(b *testing.B) {
 	for _, pool := range []struct {
@@ -284,7 +283,7 @@ func BenchmarkSweepParallelism(b *testing.B) {
 		b.Run(pool.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := quick()
-				p.Runner = &harness.Runner{Parallelism: pool.workers}
+				p.Sweep.Parallelism = pool.workers
 				sw, err := experiments.RunSweep("parallelism", p, experiments.PerfPolicies, nil)
 				if err != nil {
 					b.Fatal(err)

@@ -65,8 +65,8 @@ type benchRecord struct {
 	Sweep       *benchSweepComparison `json:"sweep,omitempty"`
 }
 
-// benchRecorder accumulates per-cell stats through a Runner's progress
-// callback and per-experiment wall times around each run.
+// benchRecorder accumulates per-cell stats through the sweeps' per-cell hook
+// and per-experiment wall times around each run.
 type benchRecorder struct {
 	record  benchRecord
 	current *benchExperiment
@@ -84,23 +84,18 @@ func newBenchRecorder(parallelism int) *benchRecorder {
 	}}
 }
 
-// observe is installed as the shared Runner's OnProgress callback. It runs
-// under the runner lock: append only.
-func (b *benchRecorder) observe(p harness.Progress) {
+// observe records one finished sweep cell in the open experiment section.
+func (b *benchRecorder) observe(c experiments.CellResult) {
 	if b.current == nil {
 		return
 	}
-	o := p.Outcome
-	if o.Err != nil {
-		return
-	}
 	cell := benchCell{
-		Workload:  o.Spec.Workload.Name,
-		Scheme:    o.Spec.Config.ControlPoint().String(),
-		SimCycles: o.Measurement.Result.Cycles,
-		WallNs:    o.Wall.Nanoseconds(),
-		Cached:    o.Cached,
-		Metrics:   o.Measurement.Metrics,
+		Workload:  c.Spec.Workload.Name,
+		Scheme:    c.Spec.Config.ControlPoint().String(),
+		SimCycles: c.Measurement.Result.Cycles,
+		WallNs:    c.Wall.Nanoseconds(),
+		Cached:    c.Cached,
+		Metrics:   c.Measurement.Metrics,
 	}
 	if cell.SimCycles > 0 {
 		cell.HostNsPerSimCycle = float64(cell.WallNs) / float64(cell.SimCycles)
@@ -135,25 +130,27 @@ func (b *benchRecorder) write(path string) error {
 }
 
 // runBenchExperiment runs the quick sweep once on one worker and once on
-// the full pool — fresh runners each, so the baseline memo cannot leak work
+// base's pool — fresh memos each, so the baseline memo cannot leak work
 // between the legs — verifies the rendered output is byte-identical, and
-// records the wall-clock speedup. This is the record committed as
-// BENCH_sweep.json to start the perf trajectory.
-func runBenchExperiment(rec *benchRecorder, parallelism int) error {
+// records the wall-clock speedup. The legs keep base's sweep (ledger, meter,
+// metrics, per-cell hook) and change only its parallelism. This is the record
+// committed as BENCH_sweep.json to start the perf trajectory.
+func runBenchExperiment(rec *benchRecorder, base experiments.Params) error {
 	p := experiments.QuickParams()
+	p.Sweep, p.OnCell = base.Sweep, base.OnCell
+	parallelism := base.Sweep.Parallelism
 	var names []string
 	for _, w := range p.Workloads {
 		names = append(names, w.Name)
 	}
 	leg := func(name string, workers int) (time.Duration, string, error) {
-		r := &harness.Runner{Parallelism: workers, Ledger: runLedger, Meter: runMeter}
-		if rec != nil {
-			r.OnProgress = rec.observe
-			rec.begin(name)
-			defer rec.end(r)
-		}
 		pp := p
-		pp.Runner = r
+		pp.Sweep.Parallelism = workers
+		pp.Memo = &harness.Runner{}
+		if rec != nil {
+			rec.begin(name)
+			defer rec.end(pp.Memo)
+		}
 		start := time.Now()
 		// Both legs share one title: Render prints it, and the byte
 		// comparison below must see identical tables.

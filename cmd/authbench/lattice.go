@@ -43,15 +43,11 @@ type latticeRecord struct {
 // runLatticeExperiment sweeps every single- and two-gate composition of the
 // control-point lattice (policy.Lattice, 15 points — the canonical schemes
 // plus compositions no legacy enum value names) and writes the normalized-IPC
-// record to path. A fresh runner isolates the baseline-memo evidence from the
-// process-wide memo.
+// record to path. A fresh memo isolates the baseline-memo evidence from the
+// memo the other experiments share.
 func runLatticeExperiment(w io.Writer, p experiments.Params, path string) error {
 	points := policy.Lattice()
-	r := &harness.Runner{Parallelism: parallelism}
-	if benchRec != nil {
-		r.OnProgress = benchRec.observe
-	}
-	p.Runner = r
+	p.Memo = &harness.Runner{}
 
 	sw, err := experiments.RunSweep("lattice sweep: all 1- and 2-gate compositions", p, points, nil)
 	if err != nil {
@@ -64,7 +60,7 @@ func runLatticeExperiment(w io.Writer, p experiments.Params, path string) error 
 		WarmupInsts:  p.Warmup,
 		MeasureInsts: p.Measure,
 		MeanIPC:      map[string]float64{},
-		BaselineSims: r.BaselineSims(),
+		BaselineSims: p.Memo.BaselineSims(),
 	}
 	for _, pt := range points {
 		rec.Policies = append(rec.Policies, pt.String())

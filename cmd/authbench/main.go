@@ -1,7 +1,8 @@
 // Command authbench regenerates every table and figure of the paper's
 // evaluation. Each experiment prints the same rows/series the paper reports.
-// Sweep cells fan out over a worker pool (one goroutine per cell, pool sized
-// by -parallel); output is byte-identical to a serial run.
+// Every normalized-IPC sweep runs on the campaign engine (campaign.Run): its
+// cells fan out over a pool of -parallel workers, and the output is
+// byte-identical to a serial run.
 //
 // Usage:
 //
@@ -27,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"authpoint/internal/campaign"
 	"authpoint/internal/experiments"
 	"authpoint/internal/harness"
 	"authpoint/internal/policy"
@@ -98,12 +100,13 @@ func main() {
 	if *jsonOut != "" {
 		benchRec = newBenchRecorder(*parallel)
 	}
+	p.Sweep = campaign.Sweep{Parallelism: *parallel, CollectMetrics: *metrics}
 	if *teleOut != "" {
 		l, err := telemetry.Create(*teleOut, telemetry.NewHeader("authbench:"+*exp, *parallel))
 		if err != nil {
 			fatalf("%v", err)
 		}
-		runLedger = l
+		p.Sweep.Ledger = l
 		defer func() {
 			if err := l.Close(); err != nil {
 				fatalf("telemetry: %v", err)
@@ -111,17 +114,11 @@ func main() {
 		}()
 	}
 	if *progress {
-		runMeter = telemetry.NewMeter(os.Stderr, "authbench", 0)
-		defer runMeter.Finish()
+		p.Sweep.Meter = telemetry.NewMeter(os.Stderr, "authbench", 0)
+		defer p.Sweep.Meter.Finish()
 	}
-	sweepRunner = &harness.Runner{Parallelism: *parallel, CollectMetrics: *metrics,
-		Ledger: runLedger, Meter: runMeter}
-	collectMetrics = *metrics
-	if benchRec != nil || collectMetrics {
-		sweepRunner.OnProgress = observeProgress
-	}
-	p.Runner = sweepRunner
-	parallelism = *parallel
+	p.Memo = &harness.Runner{}
+	p.OnCell = observeCell
 
 	latticePath = *latticeOut
 	renderBars = *bars
@@ -147,40 +144,26 @@ func main() {
 // Shared state the experiment dispatcher reads (set once in main before any
 // experiment runs).
 var (
-	// sweepRunner executes every sweep's cells; its baseline memo spans all
-	// experiments in the invocation.
-	sweepRunner *harness.Runner
 	// benchRec is non-nil when -json is set.
 	benchRec *benchRecorder
-	// collectMetrics mirrors the -metrics flag.
-	collectMetrics bool
 	// metricsAgg is non-nil while a -metrics leaf experiment runs; run()
 	// swaps in a fresh aggregator per experiment and renders it after.
 	metricsAgg *report.Aggregator
-	// parallelism mirrors the -parallel flag for the bench experiment.
-	parallelism int
-	// runLedger and runMeter are the -telemetry ledger and -progress meter;
-	// nil when the flags are off. The bench experiment's fresh per-leg
-	// runners attach them too, so every cell of every leg lands in one
-	// ledger with campaign-unique sequence numbers.
-	runLedger *telemetry.Ledger
-	runMeter  *telemetry.Meter
 )
 
-// observeProgress fans the shared Runner's progress stream out to the bench
-// recorder and the metrics aggregator (either may be nil). It reads the
-// globals at call time so run() can swap in a fresh aggregator per leaf
-// experiment. Memoized baseline cells share a single snapshot, so the
-// aggregator skips Cached outcomes to avoid counting it once per scheme row.
-func observeProgress(p harness.Progress) {
+// observeCell is every sweep's per-cell hook: it hands each finished cell to
+// the -json recorder and the -metrics aggregator (either may be nil), read at
+// call time so run() can swap in a fresh aggregator per leaf experiment.
+// Memoized baseline cells share the snapshot of the cell that ran them, so
+// the aggregator skips them to avoid counting it once per policy row.
+func observeCell(c experiments.CellResult) {
 	if benchRec != nil {
-		benchRec.observe(p)
+		benchRec.observe(c)
 	}
-	o := p.Outcome
-	if metricsAgg != nil && o.Err == nil && !o.Cached {
+	if metricsAgg != nil && !c.Cached {
 		// Bounds always match across cells (fixed bucket sets), so the only
 		// merge error is a programming bug; surface it loudly.
-		if err := metricsAgg.Add(o.Spec.Config.ControlPoint(), o.Measurement.Metrics); err != nil {
+		if err := metricsAgg.Add(c.Spec.Config.ControlPoint(), c.Measurement.Metrics); err != nil {
 			fmt.Fprintf(os.Stderr, "authbench: metrics: %v\n", err)
 		}
 	}
@@ -215,9 +198,9 @@ func run(name string, p experiments.Params) error {
 	}
 	if benchRec != nil {
 		benchRec.begin(name)
-		defer benchRec.end(sweepRunner)
+		defer benchRec.end(p.Memo)
 	}
-	if collectMetrics {
+	if p.Sweep.CollectMetrics {
 		metricsAgg = report.NewAggregator()
 	}
 	if err := runLeaf(name, p); err != nil {
@@ -251,7 +234,7 @@ func runLeaf(name string, p experiments.Params) error {
 
 	case "bench":
 		section("Sweep bench: serial vs parallel wall time, byte-identical output")
-		return runBenchExperiment(benchRec, parallelism)
+		return runBenchExperiment(benchRec, p)
 
 	case "lattice":
 		section("Lattice: normalized IPC across the composable control-point space")

@@ -231,11 +231,12 @@ func (s *Store) Puts() int64   { return s.puts.Load() }
 // the fields of telemetry.Record that name the work, not its outcome. It is
 // the join key between a checkpoint ledger and a fresh cell list.
 type CellID struct {
-	Kind   string
-	Policy string
-	Seed   int64
-	Tamper bool
-	Site   string
+	Kind     string
+	Workload string
+	Policy   string
+	Seed     int64
+	Tamper   bool
+	Site     string
 }
 
 // Completed returns the cells lf proves finished, mapped to their verdicts.
@@ -249,7 +250,7 @@ func Completed(lf *telemetry.LedgerFile) map[CellID]string {
 		if r.Verdict == "" || r.Verdict == telemetry.VerdictSkipped {
 			continue
 		}
-		done[CellID{Kind: r.Kind, Policy: r.Policy, Seed: r.Seed, Tamper: r.Tamper, Site: r.Site}] = r.Verdict
+		done[CellID{Kind: r.Kind, Workload: r.Workload, Policy: r.Policy, Seed: r.Seed, Tamper: r.Tamper, Site: r.Site}] = r.Verdict
 	}
 	return done
 }

@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"context"
+	"errors"
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"authpoint/internal/telemetry"
@@ -193,5 +196,33 @@ func TestLoadCompleted(t *testing.T) {
 	}
 	if _, err := LoadCompleted(hole); err == nil {
 		t.Fatal("ledger with a sequence hole accepted as a checkpoint")
+	}
+}
+
+func TestPoolRunsEveryIndex(t *testing.T) {
+	var hits [50]int32
+	err := pool(context.Background(), 4, len(hits), func(ctx context.Context, i int) {
+		atomic.AddInt32(&hits[i], 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("index %d ran %d times", i, h)
+		}
+	}
+}
+
+func TestPoolParentCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ran atomic.Int32
+	err := pool(ctx, 2, 100_000, func(ctx context.Context, i int) { ran.Add(1) })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := ran.Load(); n >= 100_000 {
+		t.Fatalf("cancellation did not stop the feed: all %d indexes ran", n)
 	}
 }

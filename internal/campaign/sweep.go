@@ -3,22 +3,26 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"authpoint/internal/harness"
 	"authpoint/internal/obs"
 	"authpoint/internal/policy"
 	"authpoint/internal/telemetry"
 )
 
 // Cell is one unit of campaign work: the generated program for Seed checked
-// under Policy, optionally with one tampered line at Site.
+// under Policy, optionally with one tampered line at Site — or, in a bench
+// sweep, the catalog Workload measured under Policy.
 type Cell struct {
-	Seed   int64
-	Policy policy.ControlPoint
-	Tamper bool
+	// Workload names a bench cell's workload; empty for fuzz and verify
+	// cells.
+	Workload string
+	Seed     int64
+	Policy   policy.ControlPoint
+	Tamper   bool
 	// Site is the tamper site of a tamper cell, always explicit (the ledger
 	// and resume join on it); empty for untampered cells.
 	Site string
@@ -27,7 +31,7 @@ type Cell struct {
 // ID is the cell's identity in a campaign of the given kind: the fields its
 // ledger record carries, and the join key against a resume checkpoint.
 func (c Cell) ID(kind string) CellID {
-	return CellID{Kind: kind, Policy: c.Policy.String(), Seed: c.Seed, Tamper: c.Tamper, Site: c.Site}
+	return CellID{Kind: kind, Workload: c.Workload, Policy: c.Policy.String(), Seed: c.Seed, Tamper: c.Tamper, Site: c.Site}
 }
 
 // Cells lays seeds over policies. Mode "pair" runs seed i under
@@ -141,7 +145,7 @@ func Resume(kind string, cells []Cell, done map[CellID]string, isFinding func(st
 	return pending, redo
 }
 
-// Run checks every cell on the harness worker pool. Cells the context never
+// Run checks every cell on the worker pool. Cells the context never
 // reached are left zero in Report.Results, and the context's error is
 // returned so callers can tell "clean" from "clean so far, budget
 // exhausted". With a resume checkpoint, done cells are not swept again and
@@ -169,18 +173,19 @@ func Run[R any](ctx context.Context, chk Check[R], cells []Cell, sw Sweep) (Repo
 	}
 	record := func(seq int, c Cell, rec telemetry.Record) telemetry.Record {
 		id := c.ID(kind)
-		rec.Seq, rec.Kind, rec.Policy, rec.Seed, rec.Tamper, rec.Site =
-			seqBase+uint64(seq), id.Kind, id.Policy, id.Seed, id.Tamper, id.Site
+		rec.Seq, rec.Kind, rec.Workload, rec.Policy, rec.Seed, rec.Tamper, rec.Site =
+			seqBase+uint64(seq), id.Kind, id.Workload, id.Policy, id.Seed, id.Tamper, id.Site
 		return rec
 	}
 
 	rep.Results = make([]R, len(cells))
 	ran := make([]bool, len(cells))
 	var mu sync.Mutex
-	runner := &harness.Runner{Parallelism: sw.Parallelism, Meter: sw.Meter}
-	err := runner.Do(ctx, len(cells), func(ctx context.Context, i int) error {
+	sw.Meter.AddTotal(len(cells))
+	err := pool(ctx, sw.Parallelism, len(cells), func(ctx context.Context, i int) {
+		defer sw.Meter.Tick(1)
 		if ctx.Err() != nil {
-			return nil // budget expired while queued: leave the cell empty
+			return // budget expired while queued: leave the cell empty
 		}
 		c := cells[i]
 		start := time.Now()
@@ -197,7 +202,6 @@ func Run[R any](ctx context.Context, chk Check[R], cells []Cell, sw Sweep) (Repo
 			rep.Findings = append(rep.Findings, Finding[R]{Cell: c, Result: res, Source: src})
 			mu.Unlock()
 		}
-		return nil
 	})
 	// Cells the budget (or a fail-fast cancel) never ran get explicit skipped
 	// records: without them a budget-expired ledger has silent sequence
@@ -249,8 +253,41 @@ func SeedsRepeat(cells []Cell) bool {
 	return false
 }
 
-// merger folds per-run metrics snapshots into one campaign aggregate; safe
-// for concurrent use.
+// pool runs fn(ctx, i) for every i in [0, n) on workers goroutines (<= 0
+// means NumCPU), dispatching indexes in order until ctx is done; indexes not
+// yet dispatched then never run. Each call's context carries its worker index
+// (telemetry.Worker). It returns ctx's error.
+func pool(ctx context.Context, workers, n int, fn func(ctx context.Context, i int)) error {
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		wctx := telemetry.WithWorker(ctx, w)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(wctx, i)
+			}
+		}()
+	}
+feed:
+	for i := 0; i < n; i++ {
+		select {
+		case idx <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(idx)
+	wg.Wait()
+	return ctx.Err()
+}
+
+// merger folds per-run metrics snapshots into one campaign aggregate of its
+// own, never aliasing a run's snapshot; safe for concurrent use.
 type merger struct {
 	mu     sync.Mutex
 	merged *obs.Snapshot
@@ -260,8 +297,7 @@ func (m *merger) add(snap *obs.Snapshot) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.merged == nil {
-		m.merged = snap
-		return
+		m.merged = &obs.Snapshot{}
 	}
 	// Merge only errors on histogram bucket-bound mismatches, which cannot
 	// happen here: every run uses the Hub's fixed bucket sets.

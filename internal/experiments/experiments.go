@@ -7,15 +7,18 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"authpoint/internal/attack"
+	"authpoint/internal/campaign"
 	"authpoint/internal/harness"
+	"authpoint/internal/obs"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
+	"authpoint/internal/telemetry"
 	"authpoint/internal/workload"
 )
 
@@ -24,16 +27,18 @@ type Params struct {
 	Warmup    uint64
 	Measure   uint64
 	Workloads []workload.Workload
-	// Runner executes the sweep cells; nil uses harness.DefaultRunner
-	// (worker pool sized to the host, process-wide baseline memo).
-	Runner *harness.Runner
-}
-
-func (p Params) runner() *harness.Runner {
-	if p.Runner != nil {
-		return p.Runner
-	}
-	return harness.DefaultRunner
+	// Sweep configures the campaign engine every sweep's cells run on: the
+	// worker count, the ledger (one "bench" record per cell), the meter, and
+	// CollectMetrics, which attaches a metrics hub to every cell. A resume
+	// checkpoint (Done) skips nothing: bench records carry no verdict, so no
+	// cell ever counts as done.
+	Sweep campaign.Sweep
+	// Memo is the baseline memo every sweep shares; nil gives each sweep a
+	// fresh one.
+	Memo *harness.Runner
+	// OnCell, when set, sees every cell of each successful sweep, in cell
+	// order, after the sweep has finished.
+	OnCell func(CellResult)
 }
 
 // DefaultParams covers all 18 kernels at the default windows.
@@ -112,49 +117,121 @@ func (s *Sweep) MeanNormalized(p policy.ControlPoint) float64 {
 // tree mode, remap cache size...).
 type Variant func(*sim.Config)
 
-// RunSweep measures every workload under the baseline plus each control
-// point. The cells fan out over the runner's worker pool; results fold back
-// in input order, so the rendered rows/series are identical to a serial run.
-// Baseline cells hit the runner's memo when an identical (workload, config,
-// windows) baseline was already measured this process.
-func RunSweep(title string, p Params, policies []policy.ControlPoint, variant Variant) (*Sweep, error) {
-	sw := &Sweep{Title: title, Policies: policies}
-	cell := func(w workload.Workload, pt policy.ControlPoint) harness.Spec {
-		cfg := sim.DefaultConfig()
-		if variant != nil {
-			variant(&cfg)
+// CellResult is one finished sweep cell.
+type CellResult struct {
+	Spec        harness.Spec
+	Measurement harness.Measurement
+	// Cached marks a baseline served from the memo: its Measurement, Metrics
+	// snapshot included, is shared with the cell that ran it.
+	Cached bool
+	// Wall is the host time the cell took (a memo hit's is the lookup).
+	Wall time.Duration
+	Err  error
+}
+
+// benchCheck is the campaign adapter of a normalized-IPC sweep: kind
+// "bench", one cell per (workload, policy), measured by harness.Measure
+// behind the baseline memo.
+type benchCheck struct {
+	memo            *harness.Runner
+	workloads       map[string]workload.Workload
+	cfg             sim.Config // the sweep's variant; each cell sets Policy
+	warmup, measure uint64
+	// fail cancels the sweep at its first failing cell.
+	fail func()
+}
+
+func (benchCheck) Kind() string { return "bench" }
+
+// Runner turns metrics on for every cell when sink is set; a memo hit's
+// shared snapshot reaches the sink only once, from the cell that ran it.
+func (b benchCheck) Runner(_ []campaign.Cell, sink func(*obs.Snapshot)) func(campaign.Cell) (CellResult, string) {
+	return func(c campaign.Cell) (CellResult, string) {
+		cfg := b.cfg
+		cfg.Policy = c.Policy
+		s := harness.Spec{Workload: b.workloads[c.Workload], Config: cfg,
+			WarmupInsts: b.warmup, MeasureInsts: b.measure, Metrics: sink != nil}
+		start := time.Now()
+		m, cached, err := b.memo.Measure(s)
+		switch {
+		case err != nil:
+			b.fail()
+		case sink != nil && !cached:
+			sink(m.Metrics)
 		}
-		cfg.Policy = pt
-		return harness.Spec{Workload: w, Config: cfg, WarmupInsts: p.Warmup, MeasureInsts: p.Measure}
+		return CellResult{Spec: s, Measurement: m, Cached: cached, Wall: time.Since(start), Err: err}, ""
 	}
-	var specs []harness.Spec
+}
+
+// Outcome records the cell's whole simulation, warmup included, so the
+// record's cycles and its host_ns cover the same work.
+func (benchCheck) Outcome(r CellResult) telemetry.Record {
+	rec := telemetry.Record{SimCycles: r.Measurement.Result.Cycles, Insts: r.Measurement.Result.Insts, Cached: r.Cached}
+	if r.Err != nil {
+		rec.Err = r.Err.Error()
+	}
+	return rec
+}
+
+func (benchCheck) IsFinding(string) bool { return false }
+
+// newBench returns a sweep's adapter (without its fail hook) and its cells:
+// per workload, the baseline and then each policy.
+func newBench(p Params, policies []policy.ControlPoint, variant Variant) (benchCheck, []campaign.Cell) {
+	chk := benchCheck{memo: p.Memo, workloads: map[string]workload.Workload{}, cfg: sim.DefaultConfig(),
+		warmup: p.Warmup, measure: p.Measure}
+	if chk.memo == nil {
+		chk.memo = &harness.Runner{}
+	}
+	if variant != nil {
+		variant(&chk.cfg)
+	}
+	var cells []campaign.Cell
 	for _, w := range p.Workloads {
-		specs = append(specs, cell(w, policy.Baseline))
+		chk.workloads[w.Name] = w
+		cells = append(cells, campaign.Cell{Workload: w.Name, Policy: policy.Baseline})
 		for _, pt := range policies {
-			specs = append(specs, cell(w, pt))
+			cells = append(cells, campaign.Cell{Workload: w.Name, Policy: pt})
 		}
 	}
-	outs, err := p.runner().RunAll(context.Background(), specs)
-	if err != nil {
-		for _, o := range outs {
-			if o.Err != nil && !errors.Is(o.Err, context.Canceled) {
-				return nil, fmt.Errorf("%s %v: %w", o.Spec.Workload.Name, o.Spec.Config.ControlPoint(), o.Err)
-			}
+	return chk, cells
+}
+
+// RunSweep measures every workload under the baseline plus each control
+// point, as one campaign.Run over p.Sweep. Rows fold back in cell order, so
+// the rendered rows/series are identical to a serial run. The first failing
+// cell cancels the sweep (cells not yet started get skipped ledger records)
+// and RunSweep returns the lowest-index failure.
+func RunSweep(title string, p Params, policies []policy.ControlPoint, variant Variant) (*Sweep, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	chk, cells := newBench(p, policies, variant)
+	chk.fail = cancel
+	rep, err := campaign.Run(ctx, chk, cells, p.Sweep)
+	for i, r := range rep.Results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("%s %v: %w", cells[i].Workload, cells[i].Policy, r.Err)
 		}
+	}
+	if err != nil {
 		return nil, err
 	}
-	i := 0
-	for _, w := range p.Workloads {
-		row := IPCRow{Workload: w.Name, FP: w.FP, IPC: map[policy.ControlPoint]float64{}}
-		row.BaselineIPC = outs[i].Measurement.IPC
-		i++
-		for _, pt := range policies {
-			row.IPC[pt] = outs[i].Measurement.IPC
-			i++
+	if p.OnCell != nil {
+		for _, r := range rep.Results {
+			p.OnCell(r)
 		}
-		sw.Rows = append(sw.Rows, row)
 	}
-	return sw, nil
+	out := &Sweep{Title: title, Policies: policies}
+	res := rep.Results
+	for _, w := range p.Workloads {
+		row := IPCRow{Workload: w.Name, FP: w.FP, BaselineIPC: res[0].Measurement.IPC, IPC: map[policy.ControlPoint]float64{}}
+		for i, pt := range policies {
+			row.IPC[pt] = res[1+i].Measurement.IPC
+		}
+		res = res[1+len(policies):]
+		out.Rows = append(out.Rows, row)
+	}
+	return out, nil
 }
 
 // colWidth sizes a table column to the longest policy name in the set

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"authpoint/internal/harness"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
 	"authpoint/internal/workload"
@@ -25,7 +24,7 @@ func TestSweepParallelOutputByteIdentical(t *testing.T) {
 	render := func(parallelism int) (string, string) {
 		t.Helper()
 		pp := p
-		pp.Runner = &harness.Runner{Parallelism: parallelism}
+		pp.Sweep.Parallelism = parallelism
 		sw, err := RunSweep("determinism", pp, schemes, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -117,16 +117,3 @@ func Measure(spec Spec) (Measurement, error) {
 	}
 	return out, nil
 }
-
-// NormalizedIPC runs a workload under a control point and under the baseline
-// with the same machine configuration, returning IPC(policy)/IPC(baseline) —
-// the paper's normalized-IPC metric (Figure 7 and friends). The baseline leg
-// is memoized on DefaultRunner, so calling this for k policies performs k+1
-// simulations, not 2k.
-func NormalizedIPC(w workload.Workload, cfg sim.Config, p policy.ControlPoint, warmup, measure uint64) (float64, error) {
-	return DefaultRunner.NormalizedIPC(w, cfg, p, warmup, measure)
-}
-
-func baselineZeroErr(name string) error {
-	return fmt.Errorf("harness: %s baseline IPC is zero", name)
-}

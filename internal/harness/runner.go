@@ -1,93 +1,29 @@
 package harness
 
 import (
-	"context"
-	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"authpoint/internal/asm"
 	"authpoint/internal/policy"
 	"authpoint/internal/sim"
-	"authpoint/internal/telemetry"
 	"authpoint/internal/workload"
 )
 
-// Outcome is one cell's result from RunAll.
-type Outcome struct {
-	Spec        Spec
-	Measurement Measurement
-	Err         error
-	// Wall is the host wall-clock time spent producing this cell. A
-	// memoized baseline hit reports only the lookup time.
-	Wall time.Duration
-	// Index is the cell's position in the RunAll input slice.
-	Index int
-	// Cached reports that the cell was satisfied from the baseline memo
-	// without running a new simulation.
-	Cached bool
-}
-
-// Progress is delivered to a Runner's OnProgress callback after each cell
-// finishes. Callbacks are invoked serially (never concurrently), in
-// completion order — which under parallelism is not input order; use
-// Outcome.Index to correlate.
-type Progress struct {
-	Done    int // cells finished so far, including this one
-	Total   int
-	Outcome Outcome
-}
-
-// Runner executes sweep cells on a worker pool. Each cell builds its own
-// sim.Machine, so cells are independent; the only state shared between
-// workers is the read-only assembled program image (see TestProgramImmutable
-// in internal/sim, which pins that NewMachine/Run never mutate it) and the
-// Runner's baseline memo.
-//
-// The zero value is a ready-to-use runner at Parallelism = runtime.NumCPU().
+// Runner is a sweep's baseline memo: it measures cells like Measure but runs
+// each distinct decrypt-only baseline at most once, so a k-policy normalized
+// sweep costs k+1 simulations per workload instead of 2k, and identical
+// configs across experiments share baselines. Cells are independent (each
+// builds its own sim.Machine); the only state shared between concurrent
+// callers is the read-only assembled program image (see TestProgramImmutable
+// in internal/sim) and the memo. The zero value is ready to use.
 type Runner struct {
-	// Parallelism is the worker count; 0 or negative means
-	// runtime.NumCPU().
-	Parallelism int
-	// OnProgress, if set, observes each finished cell. Calls are serial,
-	// with Done counts delivered in order. The callback runs under the
-	// runner's internal lock: keep it quick and never re-enter the Runner
-	// from inside it.
-	OnProgress func(Progress)
-
-	// CollectMetrics forces Spec.Metrics on for every cell, so each
-	// Outcome's Measurement carries an obs.Snapshot. Memoized baseline
-	// cells share one snapshot; use Outcome.Cached to avoid aggregating it
-	// twice.
-	CollectMetrics bool
-
-	// Ledger, if set, receives one telemetry record per finished RunAll
-	// cell. Sequence numbers are reserved in input order before dispatch,
-	// so a parallel ledger re-sorted by seq matches a serial one.
-	Ledger *telemetry.Ledger
-	// Meter, if set, is fed live progress (one tick per finished cell,
-	// across both RunAll and Do).
-	Meter *telemetry.Meter
-
-	// baselines memoizes decrypt-only baseline measurements keyed on
-	// (workload, config with the control point forced to baseline, windows),
-	// so a k-policy normalized sweep costs k+1 simulations per workload
-	// instead of 2k, and identical configs across experiments share
-	// baselines.
+	// baselines is keyed on (workload, config with the control point forced
+	// to baseline, windows, metrics).
 	baselines sync.Map // baseKey -> *memoEntry
 
 	baselineSims atomic.Int64
 }
-
-// DefaultRunner is the process-wide runner used by the package-level
-// helpers; its baseline memo spans every experiment in the process.
-var DefaultRunner = &Runner{}
-
-// errNotRun marks cells that were never dispatched; replaced by the context
-// error before RunAll returns, so it never escapes.
-var errNotRun = errors.New("harness: cell not run")
 
 type baseKey struct {
 	w               workload.Workload
@@ -102,132 +38,19 @@ type memoEntry struct {
 	err  error
 }
 
-// workers returns the effective pool size.
-func (r *Runner) workers() int {
-	if r.Parallelism > 0 {
-		return r.Parallelism
-	}
-	return runtime.NumCPU()
-}
-
 // BaselineSims returns how many baseline simulations this runner has
 // actually executed (memo hits excluded) — the observable for the k+1
 // measurement guarantee.
 func (r *Runner) BaselineSims() int64 { return r.baselineSims.Load() }
 
-// RunAll runs every spec and returns the outcomes in input order, regardless
-// of completion order. On the first cell error the context is cancelled:
-// cells not yet started are skipped (their Outcome.Err is the context
-// error); cells already running finish normally. The returned error is the
-// error of the lowest-index failing cell, which is deterministic because
-// cells are dispatched in input order. An external ctx cancellation stops
-// dispatch the same way.
-func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// Measure runs one cell, serving a decrypt-only baseline from the memo. The
+// cached flag is true when the baseline measurement already existed; it is
+// then shared, Metrics snapshot included, with the cell that ran it.
+func (r *Runner) Measure(s Spec) (m Measurement, cached bool, err error) {
+	if !s.Config.ControlPoint().IsBaseline() {
+		m, err = Measure(s)
+		return m, false, err
 	}
-	out := make([]Outcome, len(specs))
-	for i := range out {
-		out[i] = Outcome{Spec: specs[i], Err: errNotRun, Index: i}
-	}
-
-	// Reserve the whole batch's sequence numbers up front so seq follows
-	// input order deterministically, independent of worker interleaving.
-	var seqBase uint64
-	if r.Ledger != nil {
-		seqBase = r.Ledger.ReserveSeq(len(specs))
-	}
-
-	var (
-		mu   sync.Mutex
-		done int
-	)
-	err := r.Do(ctx, len(specs), func(ctx context.Context, idx int) error {
-		o := r.runOne(ctx, specs[idx])
-		o.Index = idx
-		if r.Ledger != nil {
-			r.Ledger.Emit(benchRecord(seqBase+uint64(idx), telemetry.Worker(ctx), o))
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		out[idx] = o
-		done++
-		// Invoked under the runner lock so callbacks are serial and see done
-		// counts in order; callbacks must not re-enter the Runner.
-		if r.OnProgress != nil {
-			r.OnProgress(Progress{Done: done, Total: len(specs), Outcome: o})
-		}
-		return o.Err
-	})
-
-	// Cells never dispatched (fail-fast or external cancel) carry the
-	// context error — Canceled after a fail-fast — so callers can tell them
-	// from successes. They still get a ledger record, explicitly marked
-	// skipped, so a budget-expired ledger has no silent sequence holes and
-	// doubles as a resume checkpoint.
-	notRun := ctx.Err()
-	if notRun == nil {
-		notRun = context.Canceled
-	}
-	for i := range out {
-		if out[i].Err == errNotRun {
-			out[i].Err = notRun
-			if r.Ledger != nil {
-				r.Ledger.Emit(benchRecord(seqBase+uint64(i), 0, out[i]))
-			}
-		}
-	}
-	return out, err
-}
-
-// benchRecord flattens one RunAll outcome into a ledger record.
-func benchRecord(seq uint64, worker int, o Outcome) telemetry.Record {
-	rec := telemetry.Record{
-		Seq:       seq,
-		Kind:      "bench",
-		Workload:  o.Spec.Workload.Name,
-		Policy:    o.Spec.Config.ControlPoint().String(),
-		SimCycles: o.Measurement.Cycles,
-		Insts:     o.Measurement.Insts,
-		HostNs:    o.Wall.Nanoseconds(),
-		Worker:    worker,
-		Cached:    o.Cached,
-	}
-	if o.Err != nil {
-		rec.Err = o.Err.Error()
-		// A cancellation error means the budget expired before the cell ran —
-		// skipped work, not a failing cell.
-		if errors.Is(o.Err, context.Canceled) || errors.Is(o.Err, context.DeadlineExceeded) {
-			rec.Verdict = telemetry.VerdictSkipped
-		}
-	}
-	return rec
-}
-
-// runOne executes one cell, routing decrypt-only baseline cells through the
-// memo.
-func (r *Runner) runOne(ctx context.Context, s Spec) Outcome {
-	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return Outcome{Spec: s, Err: err}
-	}
-	if r.CollectMetrics {
-		s.Metrics = true
-	}
-	o := Outcome{Spec: s}
-	if s.Config.ControlPoint().IsBaseline() {
-		o.Measurement, o.Cached, o.Err = r.baseline(s)
-	} else {
-		o.Measurement, o.Err = Measure(s)
-	}
-	o.Wall = time.Since(start)
-	return o
-}
-
-// baseline returns the memoized decrypt-only measurement for the spec,
-// running it at most once per (workload, config, windows) key per Runner.
-// The reported cached flag is true when the measurement already existed.
-func (r *Runner) baseline(s Spec) (Measurement, bool, error) {
 	// Zero the policy so every baseline spelling lands on the same memo
 	// entry.
 	s.Config.Policy = policy.Baseline
@@ -250,32 +73,6 @@ func (r *Runner) baseline(s Spec) (Measurement, bool, error) {
 		ent.m, ent.err = Measure(s)
 	})
 	return ent.m, !ran, ent.err
-}
-
-// Baseline exposes the memoized decrypt-only measurement for direct callers
-// (cmd/, tests) that previously paid a fresh baseline per scheme.
-func (r *Runner) Baseline(w workload.Workload, cfg sim.Config, warmup, measure uint64) (Measurement, error) {
-	m, _, err := r.baseline(Spec{Workload: w, Config: cfg, WarmupInsts: warmup, MeasureInsts: measure})
-	return m, err
-}
-
-// NormalizedIPC is the memoized version of the package-level helper: the
-// baseline leg comes from the memo, so sweeping k policies over one workload
-// costs k+1 measurements, not 2k.
-func (r *Runner) NormalizedIPC(w workload.Workload, cfg sim.Config, p policy.ControlPoint, warmup, measure uint64) (float64, error) {
-	mb, err := r.Baseline(w, cfg, warmup, measure)
-	if err != nil {
-		return 0, err
-	}
-	cfg.Policy = p
-	ms, err := Measure(Spec{Workload: w, Config: cfg, WarmupInsts: warmup, MeasureInsts: measure})
-	if err != nil {
-		return 0, err
-	}
-	if mb.IPC == 0 {
-		return 0, baselineZeroErr(w.Name)
-	}
-	return ms.IPC / mb.IPC, nil
 }
 
 // --- assembled-image cache -------------------------------------------------

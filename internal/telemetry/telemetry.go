@@ -280,9 +280,8 @@ func (lf *LedgerFile) SortBySeq() {
 	sort.Slice(lf.Records, func(i, j int) bool { return lf.Records[i].Seq < lf.Records[j].Seq })
 }
 
-// workerKey carries the worker index in a context, so campaign layers
-// (campaign.Run, harness.Runner.RunAll) can stamp records without threading an
-// index through every call signature.
+// workerKey carries the worker index in a context, so campaign.Run can stamp
+// records without threading an index through every call signature.
 type workerKey struct{}
 
 // WithWorker tags ctx with a worker index.
