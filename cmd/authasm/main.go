@@ -1,11 +1,10 @@
 // Command authasm assembles authpoint assembly and prints the binary image:
 // encoded text words with disassembly, the data section, and the symbol
-// table. With -run it also executes the program on the default machine.
+// table. To execute a program, use authsim -file.
 //
 // Usage:
 //
 //	authasm prog.s
-//	authasm -run -scheme authen-then-commit prog.s
 package main
 
 import (
@@ -16,19 +15,12 @@ import (
 
 	"authpoint/internal/asm"
 	"authpoint/internal/isa"
-	"authpoint/internal/policy"
-	"authpoint/internal/sim"
 )
 
 func main() {
-	var (
-		run        = flag.Bool("run", false, "execute after assembling")
-		schemeName = flag.String("scheme", "baseline", "control-point name when running (any registered or composed policy)")
-		maxInsts   = flag.Uint64("maxinsts", 1_000_000, "instruction budget when running")
-	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fatalf("usage: authasm [-run] file.s")
+		fatalf("usage: authasm file.s")
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -67,29 +59,6 @@ func main() {
 	sort.Slice(syms, func(i, j int) bool { return syms[i].addr < syms[j].addr })
 	for _, s := range syms {
 		fmt.Printf("  %#08x %s\n", s.addr, s.name)
-	}
-
-	if *run {
-		pt, err := policy.Parse(*schemeName)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		cfg := sim.DefaultConfig()
-		cfg.Policy = pt
-		cfg.MaxInsts = *maxInsts
-		m, err := sim.NewMachine(cfg, p)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		res, err := m.Run()
-		if err != nil {
-			fatalf("run: %v", err)
-		}
-		fmt.Printf("\nrun: %v after %d cycles, %d instructions (IPC %.3f)\n",
-			res.Reason, res.Cycles, res.Insts, res.IPC)
-		for _, e := range m.Core.OutLog() {
-			fmt.Printf("  out port %#x <- %#x @ cycle %d\n", e.Port, e.Val, e.Cycle)
-		}
 	}
 }
 

@@ -1,5 +1,9 @@
 // Command authsim runs one program or workload on the secure processor
-// model and reports timing, cache, and authentication statistics.
+// model and reports timing, cache, and authentication statistics, and the
+// out-port log when the program wrote one. It is also the single-run
+// observability tool: a commit-order trace with cycle timestamps, the
+// commit-gap histogram (authentication stalls show up as long gaps),
+// metrics, and a Chrome/Perfetto trace-event export and its validator.
 //
 // Usage:
 //
@@ -7,6 +11,10 @@
 //	authsim -file prog.s -scheme authen-then-issue
 //	authsim -workload swimx -scheme all            # compare all registered policies
 //	authsim -workload mcfx -scheme authen-then-write+fetch   # any lattice point
+//	authsim -file prog.s -scheme authen-then-commit -commits 100   # commit-order trace
+//	authsim -workload swimx -scheme authen-then-commit -gap        # commit-gap histogram
+//	authsim -workload mcfx -scheme commit+fetch -trace t.json      # trace-event export
+//	authsim -validate t.json       # check a -trace export is well-formed
 package main
 
 import (
@@ -41,10 +49,24 @@ func main() {
 		trace    = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file (single scheme only)")
 		traceCap = flag.Int("trace-cap", 0, "trace ring capacity in events (0 = default)")
 		metrics  = flag.Bool("metrics", false, "print auth-latency/gap/occupancy histograms and event counters")
+		commits  = flag.Int("commits", 0, "print the first N committed instructions with their commit cycles (single scheme only)")
+		gap      = flag.Bool("gap", false, "print the commit-gap histogram (single scheme only)")
+		validate = flag.String("validate", "", "validate a trace-event JSON file (from -trace) and exit")
 	)
 	flag.Parse()
-	if *trace != "" && *scheme == "all" {
-		fatalf("-trace needs a single -scheme, not 'all'")
+	if *validate != "" {
+		data, err := os.ReadFile(*validate)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if err := obs.ValidateTraceJSON(data); err != nil {
+			fatalf("%s: %v", *validate, err)
+		}
+		fmt.Printf("%s: well-formed trace-event JSON\n", *validate)
+		return
+	}
+	if (*trace != "" || *commits > 0 || *gap) && *scheme == "all" {
+		fatalf("-trace, -commits and -gap need a single -scheme, not 'all'")
 	}
 
 	var src string
@@ -86,7 +108,14 @@ func main() {
 		policies = append(policies, pt)
 	}
 
-	fmt.Printf("%-32s %10s %12s %8s %12s\n", "policy", "IPC", "cycles", "insts", "stop")
+	// The commit views keep the commit trace's own layout: commit lines as
+	// they retire, then a stop line, instead of the policy table.
+	var cl *commitLog
+	if *commits > 0 || *gap {
+		cl = newCommitLog(os.Stdout, *commits, *gap)
+	} else {
+		fmt.Printf("%-32s %10s %12s %8s %12s\n", "policy", "IPC", "cycles", "insts", "stop")
+	}
 	for _, s := range policies {
 		cfg := sim.DefaultConfig()
 		cfg.Policy = s
@@ -109,47 +138,50 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		var hub *obs.Hub
-		if *trace != "" || *metrics {
-			var tr *obs.Tracer
-			if *trace != "" {
-				tr = obs.NewTracer(*traceCap)
-			}
-			hub = obs.NewHub(tr, *metrics)
-			m.SetObserver(hub)
-			if *metrics {
-				m.EnablePerf()
-			}
+		var tr *obs.Tracer
+		if *trace != "" {
+			tr = obs.NewTracer(*traceCap)
+		}
+		if tr != nil || *metrics {
+			m.AttachMetrics(tr)
+		}
+		if cl != nil {
+			cl.attach(m)
 		}
 		res, err := m.Run()
 		if err != nil {
 			fatalf("%v: %v", s, err)
 		}
-		fmt.Printf("%-32s %10.4f %12d %8d %12v\n", s, res.IPC, res.Cycles, res.Insts, res.Reason)
+		if cl != nil {
+			cl.summary(res)
+		} else {
+			fmt.Printf("%-32s %10.4f %12d %8d %12v\n", s, res.IPC, res.Cycles, res.Insts, res.Reason)
+		}
+		for _, e := range m.Core.OutLog() {
+			fmt.Printf("  out port %#x <- %#x @ cycle %d\n", e.Port, e.Val, e.Cycle)
+		}
 		if *verbose {
 			report.Write(os.Stdout, m, res)
 		}
 		if *metrics {
-			snap := hub.Snapshot()
-			m.Perf().AddTo(snap)
-			report.WriteMetrics(os.Stdout, snap)
+			report.WriteMetrics(os.Stdout, m.Metrics())
 		}
-		if *trace != "" {
+		if tr != nil {
 			f, err := os.Create(*trace)
 			if err != nil {
 				fatalf("%v", err)
 			}
-			if err := hub.Tracer().WriteJSON(f); err != nil {
+			if err := tr.WriteJSON(f); err != nil {
 				fatalf("trace: %v", err)
 			}
 			if err := f.Close(); err != nil {
 				fatalf("trace: %v", err)
 			}
-			if d := hub.Tracer().Dropped(); d > 0 {
+			if d := tr.Dropped(); d > 0 {
 				fmt.Fprintf(os.Stderr, "authsim: trace ring dropped %d oldest events (raise -trace-cap)\n", d)
 			}
 			fmt.Printf("trace: %d events -> %s (load in ui.perfetto.dev)\n",
-				hub.Tracer().Total()-hub.Tracer().Dropped(), *trace)
+				tr.Total()-tr.Dropped(), *trace)
 		}
 	}
 }

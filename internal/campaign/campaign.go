@@ -256,15 +256,19 @@ func Completed(lf *telemetry.LedgerFile) map[CellID]string {
 }
 
 // LoadCompleted reads the checkpoint ledger at path and returns its
-// completed-cell set (see Completed). The ledger is validated first: a
-// corrupt checkpoint must fail the resume, not silently re-run everything.
-func LoadCompleted(path string) (map[CellID]string, error) {
+// completed-cell set (see Completed). The ledger is validated first, and
+// its header must name the resuming campaign: a corrupt checkpoint, or one
+// another tool wrote, must fail the resume, not silently re-run everything.
+func LoadCompleted(path, campaign string) (map[CellID]string, error) {
 	lf, err := telemetry.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	if err := lf.Validate(); err != nil {
 		return nil, err
+	}
+	if lf.Header.Campaign != campaign {
+		return nil, fmt.Errorf("ledger campaign %q, want %q", lf.Header.Campaign, campaign)
 	}
 	return Completed(lf), nil
 }

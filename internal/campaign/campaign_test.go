@@ -174,7 +174,7 @@ func TestLoadCompleted(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	done, err := LoadCompleted(path)
+	done, err := LoadCompleted(path, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +194,14 @@ func TestLoadCompleted(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCompleted(hole); err == nil {
+	if _, err := LoadCompleted(hole, "test"); err == nil {
 		t.Fatal("ledger with a sequence hole accepted as a checkpoint")
+	}
+	// Another tool's ledger is no checkpoint for this one: its cells can
+	// never match, so accepting it would silently re-run everything.
+	_, err = LoadCompleted(path, "authverify")
+	if want := `ledger campaign "test", want "authverify"`; err == nil || err.Error() != want {
+		t.Fatalf("LoadCompleted of another campaign's ledger: err = %v, want %q", err, want)
 	}
 }
 

@@ -130,7 +130,7 @@ func Main[R any](t Tool[R]) {
 	}
 	sw := campaign.Sweep{Parallelism: *parallel, CollectMetrics: *metrics}
 	if *resumeAt != "" {
-		if sw.Done, err = campaign.LoadCompleted(*resumeAt); err != nil {
+		if sw.Done, err = campaign.LoadCompleted(*resumeAt, t.Name); err != nil {
 			t.fatalf("resume: %v", err)
 		}
 	}

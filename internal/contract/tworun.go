@@ -337,11 +337,8 @@ func runView(p *asm.Program, cfg sim.Config, regions []sim.Region, obfuscated, o
 		return View{}, err
 	}
 	col := &busCollector{}
-	var hub *obs.Hub
 	if metricsSink != nil {
-		hub = obs.NewHub(nil, true)
-		m.SetObserver(hub)
-		m.EnablePerf()
+		hub := m.AttachMetrics(nil)
 		// The bus observer slot is single; tee it so the hub still sees bus
 		// events while the adversary view records exactly what it always did.
 		m.Bus.SetObserver(teeSink{a: col, b: hub})
@@ -349,10 +346,8 @@ func runView(p *asm.Program, cfg sim.Config, regions []sim.Region, obfuscated, o
 		m.Bus.SetObserver(col)
 	}
 	simRes, runErr := m.Run()
-	if hub != nil {
-		snap := hub.Snapshot()
-		m.Perf().AddTo(snap)
-		metricsSink(snap)
+	if metricsSink != nil {
+		metricsSink(m.Metrics())
 	}
 	if runErr != nil && !(observeWatchdog && simRes.Reason == sim.StopWatchdog) {
 		return View{}, runErr

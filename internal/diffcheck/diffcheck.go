@@ -368,11 +368,8 @@ func check(src string, opt Options) Result {
 			return res
 		}
 	}
-	var hub *obs.Hub
 	if opt.MetricsSink != nil {
-		hub = obs.NewHub(nil, true)
-		m.SetObserver(hub)
-		m.EnablePerf()
+		m.AttachMetrics(nil)
 	}
 	simRes, runErr := m.Run()
 	res.Reason = simRes.Reason.String()
@@ -380,10 +377,8 @@ func check(src string, opt Options) Result {
 	res.Insts = simRes.Insts
 	sd := m.ArchDigest(ranges...)
 	res.SimDigest = hex.EncodeToString(sd[:])
-	if hub != nil {
-		snap := hub.Snapshot()
-		m.Perf().AddTo(snap)
-		opt.MetricsSink(snap)
+	if opt.MetricsSink != nil {
+		opt.MetricsSink(m.Metrics())
 	}
 
 	if opt.Tamper {

@@ -99,7 +99,7 @@ func killResumeUnion[R any](t *testing.T, chk campaign.Check[R], cells []campaig
 
 	// Resume: the engine subtracts the checkpoint's completed cells and
 	// sweeps the rest.
-	done, err := campaign.LoadCompleted(first)
+	done, err := campaign.LoadCompleted(first, "test")
 	if err != nil {
 		t.Fatal(err)
 	}

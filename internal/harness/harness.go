@@ -81,14 +81,8 @@ func Measure(spec Spec) (Measurement, error) {
 	// reported miss ratios exclude cold-start fills; the metrics hub (when
 	// requested) attaches here for the same reason.
 	m.MS.ResetCacheStats()
-	var hub *obs.Hub
-	var perf *obs.Perf
 	if spec.Metrics {
-		hub = obs.NewHub(nil, true)
-		m.SetObserver(hub)
-		// Perf counters start here too, so fastpath.* counters cover the
-		// measured window only, like every other metric.
-		perf = m.EnablePerf()
+		m.AttachMetrics(nil)
 	}
 
 	m.Cfg.MaxInsts = spec.WarmupInsts + spec.MeasureInsts
@@ -111,9 +105,6 @@ func Measure(spec Spec) (Measurement, error) {
 	if mc > 0 {
 		out.IPC = float64(mi) / float64(mc)
 	}
-	if hub != nil {
-		out.Metrics = hub.Snapshot()
-		perf.AddTo(out.Metrics)
-	}
+	out.Metrics = m.Metrics()
 	return out, nil
 }

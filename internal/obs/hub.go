@@ -20,8 +20,6 @@ const (
 	MetricAuthGap       = "auth.gap"             // decrypt-ready→auth-done, cycles
 	MetricAuthOccupancy = "auth.queue_occupancy" // queue depth at each enqueue
 	MetricSkipLen       = "fastforward.skip_len" // cycles per fast-forward jump
-	MetricSkips         = "fastforward.skips"    // fast-forward jumps taken
-	MetricSkippedCycles = "fastforward.skipped_cycles"
 )
 
 // Hub is the standard Sink: it fans events into an optional ring Tracer and
@@ -55,9 +53,6 @@ type Hub struct {
 	cacheHits    [numTracks]*Counter
 	cacheMisses  [numTracks]*Counter
 
-	skippedCycles *Counter
-	skipBound     [NumSkipBounds]*Counter
-
 	lastCycle uint64
 }
 
@@ -84,12 +79,9 @@ func NewHub(tracer *Tracer, metrics bool) *Hub {
 		h.kindCounters[EvWriteBack] = h.reg.Counter("sec.writebacks")
 		h.kindCounters[EvBusTxn] = h.reg.Counter("bus.txns")
 		h.kindCounters[EvCryptOp] = h.reg.Counter("crypto.ops")
-		h.kindCounters[EvSkip] = h.reg.Counter(MetricSkips)
-		h.skippedCycles = h.reg.Counter(MetricSkippedCycles)
+		// Skip counts, cycles and per-bound cycles are Perf's
+		// (fastpath.skip.*); the hub keeps only the jump-length histogram.
 		h.skipLen = h.reg.Histogram(MetricSkipLen, CycleBuckets)
-		for b := SkipBound(0); b < NumSkipBounds; b++ {
-			h.skipBound[b] = h.reg.Counter("fastforward.bound." + b.String() + ".cycles")
-		}
 	}
 	return h
 }
@@ -154,11 +146,7 @@ func (h *Hub) Emit(e Event) {
 	case EvFetchGateWait:
 		h.reg.Counter("sec.fetch_gate_wait_cycles").Add(e.A)
 	case EvSkip:
-		h.skippedCycles.Add(e.A)
 		h.skipLen.Observe(e.A)
-		if b := SkipBound(e.B); b < NumSkipBounds {
-			h.skipBound[b].Add(e.A)
-		}
 	case EvCacheHit, EvCacheMiss:
 		hits, misses := h.cacheHits[e.Track], h.cacheMisses[e.Track]
 		if hits == nil {

@@ -19,16 +19,15 @@ import (
 
 // runObserved executes p under cfg with a metrics hub and perf counters
 // attached (slow selects the reference path) and returns the result, digest,
-// hub snapshot, and perf block.
+// merged metrics snapshot, and perf block.
 func runObserved(t *testing.T, cfg sim.Config, p *asm.Program, slow bool) (sim.Result, [32]byte, *obs.Snapshot, *obs.Perf) {
 	t.Helper()
 	m, err := sim.NewMachine(cfg, p)
 	if err != nil {
 		t.Fatalf("new machine: %v", err)
 	}
-	hub := obs.NewHub(nil, true)
-	m.SetObserver(hub)
-	perf := m.EnablePerf()
+	m.AttachMetrics(nil)
+	perf := m.Perf()
 	if slow {
 		m.DisableFastPath()
 	}
@@ -37,7 +36,7 @@ func runObserved(t *testing.T, cfg sim.Config, p *asm.Program, slow bool) (sim.R
 		t.Fatalf("observed run (slow=%v): %v", slow, runErr)
 	}
 	dig := m.ArchDigest(interp.MemRange{Start: p.DataBase, Len: uint64(len(p.Data))})
-	return res, dig, hub.Snapshot(), perf
+	return res, dig, m.Metrics(), perf
 }
 
 // TestFastPathObserverNonPerturbing drives the random-program suite through
@@ -121,7 +120,8 @@ func TestSlowPathObserverNonPerturbing(t *testing.T) {
 // checkPerfConsistent cross-checks the inline perf counters against the
 // hub's event-derived view of the same machinery: total skipped cycles must
 // agree between Core.SkipTo accounting, the per-bound attribution, and the
-// EvSkip events the hub folded into its counters.
+// EvSkip events the hub folded into its skip-length histogram (one sample
+// per jump, summing to the cycles skipped).
 func checkPerfConsistent(t *testing.T, snap *obs.Snapshot, perf *obs.Perf) {
 	t.Helper()
 	var boundSum uint64
@@ -134,11 +134,15 @@ func checkPerfConsistent(t *testing.T, snap *obs.Snapshot, perf *obs.Perf) {
 	if snap == nil {
 		t.Fatal("metrics hub returned no snapshot")
 	}
-	if hubSkip := snap.Counters[obs.MetricSkippedCycles]; hubSkip != perf.SkipCycles {
-		t.Errorf("hub saw %d skipped cycles, perf counted %d", hubSkip, perf.SkipCycles)
+	skips, ok := snap.Histograms[obs.MetricSkipLen]
+	if !ok {
+		t.Fatalf("snapshot has no %s histogram", obs.MetricSkipLen)
 	}
-	if hubSkips := snap.Counters[obs.MetricSkips]; hubSkips != perf.SkipCalls {
-		t.Errorf("hub saw %d skips, perf counted %d", hubSkips, perf.SkipCalls)
+	if skips.Sum != perf.SkipCycles {
+		t.Errorf("hub saw %d skipped cycles, perf counted %d", skips.Sum, perf.SkipCycles)
+	}
+	if skips.Count != perf.SkipCalls {
+		t.Errorf("hub saw %d skips, perf counted %d", skips.Count, perf.SkipCalls)
 	}
 	if perf.Wakes+perf.StaleWakes != perf.ConsumerVisits {
 		t.Errorf("wakeup accounting leak: wakes %d + stale %d != visits %d",

@@ -158,6 +158,8 @@ type Machine struct {
 	sink obs.Sink
 	// perf is the fast-path perf-counter block (nil = counting off).
 	perf *obs.Perf
+	// hub is the metrics hub attached by AttachMetrics (nil = none).
+	hub *obs.Hub
 }
 
 // Keys used for every machine (the secrecy of the experiment does not
@@ -312,6 +314,30 @@ func (m *Machine) EnablePerf() *obs.Perf {
 
 // Perf returns the perf-counter block, nil unless EnablePerf was called.
 func (m *Machine) Perf() *obs.Perf { return m.perf }
+
+// AttachMetrics attaches a metrics hub to every timed component, feeding
+// tr as well when it is non-nil, and enables the perf counters; Metrics
+// reads both back as one snapshot. Counting starts here, so attaching after
+// a warmup run covers only what runs next. The hub is returned for callers
+// that must share a component's single observer slot with it (see
+// SetObserver). Attach once, before Run.
+func (m *Machine) AttachMetrics(tr *obs.Tracer) obs.Sink {
+	m.hub = obs.NewHub(tr, true)
+	m.SetObserver(m.hub)
+	m.EnablePerf()
+	return m.hub
+}
+
+// Metrics returns the hub's metrics merged with the perf counters, or nil
+// when AttachMetrics was never called.
+func (m *Machine) Metrics() *obs.Snapshot {
+	if m.hub == nil {
+		return nil
+	}
+	s := m.hub.Snapshot()
+	m.perf.AddTo(s)
+	return s
+}
 
 // Run executes until HALT, MaxInsts, a security exception, an architectural
 // fault, or the watchdog fires.
