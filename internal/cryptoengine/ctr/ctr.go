@@ -218,6 +218,11 @@ func (e *Engine) DecryptLineInto(dst []byte, addr uint64, ciphertext []byte) err
 	return nil
 }
 
+// NoteDecrypt records a decryption of the line at addr whose plaintext the
+// owner already knows: the observer sees the event DecryptLineInto emits,
+// and no pad is computed.
+func (e *Engine) NoteDecrypt(addr uint64) { e.emit(addr, 1) }
+
 // DecryptLineWithCounter decrypts with an explicit counter value. A replayed
 // (stale) ciphertext decrypts correctly only with its stale counter; with the
 // current counter it produces garbage — the property that makes counters plus

@@ -97,6 +97,17 @@ func (m *Memory) SharePage(addr uint64, b []byte) {
 	}
 }
 
+// SharedPage returns the buffer SharePage installed for the page holding
+// addr while the memory still reads through it: nil once a write has copied
+// the page (or when the page was never shared).
+func (m *Memory) SharedPage(addr uint64) []byte {
+	p := m.readPage(addr)
+	if m.lastOwned {
+		return nil
+	}
+	return p
+}
+
 // LoadByte returns the byte at addr (0 if the page was never written).
 func (m *Memory) LoadByte(addr uint64) byte {
 	p := m.readPage(addr)

@@ -134,7 +134,16 @@ func TestSharedPageCopyOnWrite(t *testing.T) {
 			if m.LoadByte(base+5) != 5 || m.ReadUint(base+8, 2) != 0x0908 {
 				t.Fatal("shared page not readable")
 			}
+			if got := m.SharedPage(base + 100); len(got) != PageSize || &got[0] != &shared[0] {
+				t.Fatal("SharedPage does not return the installed buffer")
+			}
 			write(m)
+			if m.SharedPage(base) != nil {
+				t.Fatal("SharedPage still reports the buffer after copy-on-write")
+			}
+			if got := other.SharedPage(base); len(got) == 0 || &got[0] != &shared[0] {
+				t.Fatal("copy-on-write in one memory unshared the page in another")
+			}
 			if !bytes.Equal(shared, orig) {
 				t.Fatal("write went through to the shared buffer")
 			}
@@ -160,6 +169,9 @@ func TestSharePageReplacesAndValidates(t *testing.T) {
 	m.StoreByte(0x2001, 9) // cached private page
 	shared := make([]byte, PageSize)
 	shared[1] = 4
+	if m.SharedPage(0x2000) != nil || m.SharedPage(0x5000) != nil {
+		t.Fatal("SharedPage reports a private or absent page as shared")
+	}
 	m.SharePage(0x2000, shared)
 	if m.LoadByte(0x2001) != 4 {
 		t.Fatal("SharePage did not replace the cached page")

@@ -94,6 +94,11 @@ type Perf struct {
 	// visits per scan tracks the issue candidates, not window occupancy.
 	IssueScans  uint64
 	IssueVisits uint64
+
+	// Secure-memory fetches of lines still exactly as the sealed-page table
+	// sealed them: served without decryption, and without the MAC check
+	// under flat MACs (a MAC tree still walks the line's path).
+	KnownFetches uint64
 }
 
 // AddTo folds the counters into a snapshot (adding to any values already
@@ -125,6 +130,7 @@ func (p *Perf) AddTo(s *Snapshot) {
 	c["fastpath.disamb.visits"] += p.DisambVisits
 	c["fastpath.issue.scans"] += p.IssueScans
 	c["fastpath.issue.visits"] += p.IssueVisits
+	c["fastpath.secmem.known"] += p.KnownFetches
 	for b := SkipBound(0); b < NumSkipBounds; b++ {
 		if p.SkipBoundCycles[b] > 0 {
 			c["fastpath.skip.bound."+b.String()+".cycles"] += p.SkipBoundCycles[b]

@@ -14,6 +14,7 @@ func TestPerfAddToNames(t *testing.T) {
 		WritebackScans: 9, WatermarkRescans: 4,
 		DisambShortCircuits: 6, DisambScans: 2, DisambVisits: 11,
 		IssueScans: 8, IssueVisits: 13,
+		KnownFetches: 21,
 	}
 	p.SkipBoundCycles[BoundDram] = 400
 	p.SkipBoundCycles[BoundSecmem] = 100
@@ -36,6 +37,7 @@ func TestPerfAddToNames(t *testing.T) {
 		"fastpath.disamb.visits":            11,
 		"fastpath.issue.scans":              8,
 		"fastpath.issue.visits":             13,
+		"fastpath.secmem.known":             21,
 		"fastpath.skip.bound.dram.cycles":   400,
 		"fastpath.skip.bound.secmem.cycles": 100,
 	}

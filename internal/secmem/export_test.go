@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// Hooks for the external seal-identity and isolation tests.
+// Hooks for the external seal-identity, isolation and fetch-identity tests.
 
 // SealWork reports how many lines c sealed itself, table fills included.
 func SealWork(c *Controller) int { return c.sealWork }
@@ -19,18 +19,31 @@ func RemapSlot(c *Controller, lineAddr uint64) (uint64, bool) {
 	return c.remap.slot(lineAddr, idx), true
 }
 
-// ZeroTablePages hashes every filled page of the sealed-zero table, keyed
-// by geometry, counter and page address. Call it only while no controller
-// is sealing.
-func ZeroTablePages() map[string][32]byte {
+// ForceFullCrypto makes every later Fetch of c decrypt and verify in full:
+// c forgets which sealed-page table entries it installed, so no line is
+// known to it any more. Memory, counters and MACs stay as they are.
+func ForceFullCrypto(c *Controller) {
+	for i := range c.protected {
+		c.protected[i].shared = nil
+	}
+}
+
+// SealedTablePages hashes every filled page of the sealed-page table, keyed
+// by geometry, counter, page address and, for image pages, the plaintext
+// digest ("img=" followed by its first bytes; zero pages have none). Call
+// it only while no controller is sealing.
+func SealedTablePages() map[string][32]byte {
 	out := map[string][32]byte{}
-	zeroTables.mu.Lock()
-	defer zeroTables.mu.Unlock()
-	for g, t := range zeroTables.byGeom {
+	sealTables.mu.Lock()
+	defer sealTables.mu.Unlock()
+	for g, t := range sealTables.byGeom {
 		t.mu.Lock()
-		for k, zp := range t.pages {
+		for k, sp := range t.pages {
 			key := fmt.Sprintf("%x/%d/%d/%v ctr=%d pg=%#x", sha256.Sum256([]byte(g.encKey+g.macKey)), g.lineB, g.macB, g.macCoversCounter, k.ctr, k.pg)
-			out[key] = sha256.Sum256(append(append([]byte(nil), zp.ct...), zp.macs...))
+			if k.sum != ([sha256.Size]byte{}) {
+				key += fmt.Sprintf(" img=%x", k.sum[:8])
+			}
+			out[key] = sha256.Sum256(append(append([]byte(nil), sp.ct...), sp.macs...))
 		}
 		t.mu.Unlock()
 	}

@@ -25,9 +25,10 @@ var (
 	simMacKey = []byte("authpoint-integrity--key-256bit!")
 )
 
-// Test programs. mixed's data has a page holding values, two zero pages
-// (shared from the table at counter 2) and a trailing value line on a page
-// of its own; zerodata's data is all zeroes; nodata has none.
+// Test programs. mixed's data has a page holding values (an image page of
+// the sealed-page table), two zero pages (shared from the table at counter
+// 2) and a trailing value line on a page of its own; zerodata's data is all
+// zeroes; nodata has none.
 var testPrograms = map[string]string{
 	"mixed": `
 	li   r1, 0x100000
@@ -221,7 +222,7 @@ func checkSealed(t testing.TB, m *sim.Machine, cfg sim.Config, p *asm.Program, r
 // TestSealIdentity pins the sealed state of fresh machines across
 // configurations, programs (data with values, all-zero data, no data) and
 // with and without the 1 MiB probe region. Each case builds twice, so the
-// second build runs entirely from the sealed-zero table.
+// second build takes every whole page from the sealed-page table.
 func TestSealIdentity(t *testing.T) {
 	for cfgName := range sealConfigs {
 		for progName := range testPrograms {
@@ -248,32 +249,38 @@ func TestSealIdentity(t *testing.T) {
 }
 
 // TestSecondBuildSealsOnlyImageLines pins the work a warm build does: with
-// every zero page of the layout in the sealed-zero table, building the same
-// layout again seals individually only the lines of the pages the image
-// holds values on — here the mixed program's text lines, its first data
-// page and its trailing value line — and none of the stack or probe lines.
+// every whole page of the layout in the sealed-page table — zero pages and
+// the image's data pages alike — building the same layout again seals
+// individually only the lines of pages that cannot be shared. Here those
+// are the mixed program's text line and its trailing value line, each on a
+// page the protected range covers only in part; the first data page, the
+// zero data pages, the stack and the probe window all come from the table.
 func TestSecondBuildSealsOnlyImageLines(t *testing.T) {
 	p := assemble(t, "mixed")
 	build(t, "flat", p, probe)
 	m, _ := build(t, "flat", p, probe)
 	textLines := (len(p.TextBytes()) + 63) / 64
-	want := textLines + 4096/64 + 1
+	want := textLines + 1
 	if got := secmem.SealWork(m.Ctrl); got != want {
-		t.Fatalf("second build sealed %d lines, want %d (text %d + data page 64 + tail 1)", got, want, textLines)
+		t.Fatalf("second build sealed %d lines, want %d (text %d + tail 1)", got, want, textLines)
 	}
 }
 
 // TestSealIsolation tampers one machine at every adversary site — and
-// writes straight into its shared zero pages — then builds another: the
-// second machine must seal exactly as a fresh one, and the sealed-zero
-// table must be unchanged. The sites run as parallel subtests, so the race
-// detector sees concurrent builds sharing the table.
+// writes straight into its shared zero and image pages — then builds
+// another: the second machine must seal exactly as a fresh one, and the
+// sealed-page table, its image pages included, must be unchanged. The
+// sites run as parallel subtests, so the race detector sees concurrent
+// builds sharing the table.
 func TestSealIsolation(t *testing.T) {
 	p := assemble(t, "mixed")
 	for _, cfgName := range []string{"flat", "tree"} {
 		build(t, cfgName, p, probe) // fill the table for both layouts
 	}
-	before := secmem.ZeroTablePages()
+	before := secmem.SealedTablePages()
+	if imagePages(before) == 0 {
+		t.Fatal("the mixed program's first data page is not in the sealed-page table")
+	}
 	t.Run("sites", func(t *testing.T) {
 		for _, site := range diffcheck.Sites() {
 			t.Run(string(site), func(t *testing.T) {
@@ -288,6 +295,7 @@ func TestSealIsolation(t *testing.T) {
 				}
 				a.Memory.XorRange(sim.StackBase, []byte{0xff, 0xff})
 				a.Memory.Write(attack.ProbeBase+0x1000, bytes.Repeat([]byte{0xaa}, 64))
+				a.Memory.XorRange(p.DataBase+128, []byte{0x01, 0x80})
 				a.Ctrl.Memory().XorRange(secmem.MacBase, []byte{0x01})
 				a.Cfg.MaxInsts = 50
 				if _, err := a.Run(); err != nil && !strings.Contains(err.Error(), "watchdog") {
@@ -298,10 +306,21 @@ func TestSealIsolation(t *testing.T) {
 			})
 		}
 	})
-	after := secmem.ZeroTablePages()
+	after := secmem.SealedTablePages()
 	for k, h := range before {
 		if after[k] != h {
-			t.Errorf("sealed-zero table page %s changed", k)
+			t.Errorf("sealed-page table page %s changed", k)
 		}
 	}
+}
+
+// imagePages counts the image pages among SealedTablePages' entries.
+func imagePages(pages map[string][32]byte) int {
+	n := 0
+	for k := range pages {
+		if strings.Contains(k, " img=") {
+			n++
+		}
+	}
+	return n
 }

@@ -194,8 +194,14 @@ type Controller struct {
 	nLeaves   int
 	// sealed is set by FinishProtection: the layout is fixed from then on.
 	sealed bool
+	// image is the plaintext FinishProtection sealed over the layout. A
+	// fetch of a line still on its sealed table page reads its plaintext
+	// from here instead of decrypting (knownLine).
+	image []Segment
+	// pageBuf stages an image page's plaintext for the sealed-page table.
+	pageBuf []byte
 	// sealWork counts the lines this controller sealed itself, including
-	// pages it added to the sealed-zero table. It depends on what earlier
+	// pages it added to the sealed-page table. It depends on what earlier
 	// controllers in the process left in the table, so it appears in no
 	// Stats or result record.
 	sealWork int
@@ -239,6 +245,7 @@ type Controller struct {
 
 	sink   obs.Sink
 	obsNow uint64 // cycle of the timed operation in progress (internal clocks)
+	perf   *obs.Perf
 
 	// Per-fetch scratch buffers: the controller handles one timed operation
 	// at a time, so the ciphertext, plaintext, MAC-message, and stored-MAC
@@ -269,10 +276,21 @@ func (c *Controller) SetObserver(s obs.Sink) {
 	c.enc.SetObserver(s, clock)
 }
 
+// SetPerf attaches the machine's perf-counter block (nil detaches): the
+// controller counts the fetches it serves without crypto.
+func (c *Controller) SetPerf(p *obs.Perf) { c.perf = p }
+
 type addrRange struct {
 	start, end uint64
 	leaf0      int // leaf index of the line at start
+	// shared holds, per page from firstPage on, the sealed-page table
+	// entry FinishProtection installed there (nil where it sealed lines
+	// one by one).
+	shared []*sealedPage
 }
+
+// firstPage is the address of the page holding the range's first line.
+func (r *addrRange) firstPage() uint64 { return r.start &^ (mem.PageSize - 1) }
 
 // MacBase is where the MAC store begins in physical memory (outside any
 // program-visible range).
@@ -354,16 +372,23 @@ func (c *Controller) Tree() *mactree.Tree { return c.tree }
 // LeafIndex returns the MAC-store / tree-leaf index of a protected line, for
 // adversaries that tamper the integrity metadata rather than the data.
 func (c *Controller) LeafIndex(lineAddr uint64) (int, bool) {
+	_, idx, ok := c.rangeOf(lineAddr)
+	return idx, ok
+}
+
+// rangeOf returns the protected range holding a line and the line's leaf
+// index.
+func (c *Controller) rangeOf(lineAddr uint64) (*addrRange, int, bool) {
 	lb := uint64(c.cfg.LineB)
 	if lineAddr%lb != 0 {
-		return 0, false
+		return nil, 0, false
 	}
-	for _, r := range c.protected {
-		if lineAddr >= r.start && lineAddr < r.end {
-			return r.leaf0 + int((lineAddr-r.start)/lb), true
+	for i := range c.protected {
+		if r := &c.protected[i]; lineAddr >= r.start && lineAddr < r.end {
+			return r, r.leaf0 + int((lineAddr-r.start)/lb), true
 		}
 	}
-	return 0, false
+	return nil, 0, false
 }
 
 // leafAddr is the inverse of LeafIndex.
@@ -405,7 +430,7 @@ func (c *Controller) Protect(start, n uint64) error {
 			return fmt.Errorf("secmem: line %#x protected twice", max(start, r.start))
 		}
 	}
-	c.protected = append(c.protected, addrRange{start, start + n, c.nLeaves})
+	c.protected = append(c.protected, addrRange{start: start, end: start + n, leaf0: c.nLeaves})
 	c.nLeaves += int(n / lb)
 	return nil
 }
@@ -427,17 +452,21 @@ func (s Segment) end() uint64 { return s.Addr + uint64(len(s.Data)) }
 // segment touches hold sealed zeroes at counter 1. Call after all Protect
 // calls and before LoadPlain/Fetch.
 //
-// A page of zero lines at one counter seals to ciphertext and MACs that
-// depend only on its address and the crypto geometry, so such pages come
-// from the process-wide sealed-zero table (zeroseal.go) and are installed
-// into external memory as shared, copy-on-write pages; their counters are
-// implied by range. Only the remaining lines — image lines holding data,
-// and pages partly outside the protected ranges — are sealed one by one.
+// A whole page whose lines share one counter seals to ciphertext and MACs
+// that depend only on its address, counter, plaintext and the crypto
+// geometry, so such pages come from the process-wide sealed-page table
+// (zeroseal.go) and are installed into external memory as shared,
+// copy-on-write pages; their counters are implied by range. Only the
+// remaining lines — pages partly outside the protected ranges, and pages
+// whose lines differ in how many segments touch them — are sealed one by
+// one. The controller keeps the segments to serve later fetches of lines
+// still as sealed, so their bytes must not change afterwards.
 func (c *Controller) FinishProtection(image ...Segment) error {
 	if c.sealed {
 		return fmt.Errorf("secmem: FinishProtection called twice (resealing would bump every counter)")
 	}
 	c.sealed = true
+	c.image = image
 	for _, seg := range image {
 		if a, ok := c.covered(seg.Addr, seg.end()); !ok {
 			return fmt.Errorf("secmem: image outside protected region at %#x", a)
@@ -459,9 +488,9 @@ func (c *Controller) FinishProtection(image ...Segment) error {
 			tc.SetObserver(c.sink, obs.TrackTreeCache, func() uint64 { return c.obsNow })
 		}
 	}
-	table := zeroTableFor(c)
-	for _, r := range c.protected {
-		if err := c.sealRange(r, image, table); err != nil {
+	table := sealTableFor(c)
+	for i := range c.protected {
+		if err := c.sealRange(&c.protected[i], image, table); err != nil {
 			return err
 		}
 	}
@@ -493,22 +522,35 @@ next:
 }
 
 // sealRange seals one protected range, a page at a time. A page wholly
-// inside the range whose lines all hold zeroes at one counter is shared
-// from the sealed-zero table, its flat MACs copied into the MAC store in one
-// piece; the lines of any other page are sealed one by one. Counters are
-// implied per page (image lines sealed individually get their own).
-func (c *Controller) sealRange(r addrRange, image []Segment, table *zeroTable) error {
+// inside the range whose lines all share one counter is shared from the
+// sealed-page table, its flat MACs copied into the MAC store in one piece,
+// and recorded in r.shared; the lines of any other page are sealed one by
+// one. Counters are implied per page (lines sealed individually at another
+// counter get their own).
+func (c *Controller) sealRange(r *addrRange, image []Segment, table *sealTable) error {
 	lb := uint64(c.cfg.LineB)
-	for pg := r.start &^ (mem.PageSize - 1); pg < r.end; pg += mem.PageSize {
+	for pg := r.firstPage(); pg < r.end; pg += mem.PageSize {
 		lo, hi := max(pg, r.start), min(pg+mem.PageSize, r.end)
 		if table != nil && lo == pg && hi == pg+mem.PageSize {
-			if ctr, ok := zeroPageCounter(pg, lb, image); ok {
-				zp := table.page(c, ctr, pg)
-				c.mem.SharePage(pg, zp.ct)
+			if ctr, zero, ok := pageCounter(pg, lb, image); ok {
+				var plain []byte
+				if !zero {
+					if c.pageBuf == nil {
+						c.pageBuf = make([]byte, mem.PageSize)
+					}
+					imageLine(c.pageBuf, pg, image)
+					plain = c.pageBuf
+				}
+				sp := table.page(c, pg, ctr, plain)
+				c.mem.SharePage(pg, sp.ct)
 				c.enc.ImplyCounter(lo, hi, ctr)
 				if !c.cfg.UseTree {
-					c.mem.Write(c.macAddr(r.leaf0+int((pg-r.start)/lb)), zp.macs)
+					c.mem.Write(c.macAddr(r.leaf0+int((pg-r.start)/lb)), sp.macs)
 				}
+				if r.shared == nil {
+					r.shared = make([]*sealedPage, (r.end-r.firstPage()+mem.PageSize-1)>>mem.PageShift)
+				}
+				r.shared[(pg-r.firstPage())>>mem.PageShift] = sp
 				continue
 			}
 		}
@@ -530,11 +572,12 @@ func (c *Controller) sealRange(r addrRange, image []Segment, table *zeroTable) e
 	return nil
 }
 
-// zeroPageCounter reports whether every line of the page at pg holds zeroes
-// once the image is applied and is touched by the same number of segments;
-// if so it returns the lines' counter, 1 + that number.
-func zeroPageCounter(pg, lb uint64, image []Segment) (uint64, bool) {
-	ctr := uint64(1)
+// pageCounter reports whether every line of the page at pg is touched by
+// the same number of image segments; if so it returns the lines' counter,
+// 1 + that number, and whether the page holds only zeroes once the image is
+// applied.
+func pageCounter(pg, lb uint64, image []Segment) (ctr uint64, zero, ok bool) {
+	ctr, zero = 1, true
 	for _, s := range image {
 		end := s.end()
 		if len(s.Data) == 0 || end <= pg || s.Addr >= pg+mem.PageSize {
@@ -543,20 +586,18 @@ func zeroPageCounter(pg, lb uint64, image []Segment) (uint64, bool) {
 		// A contiguous segment touches every line of the page iff it
 		// touches the first and the last.
 		if s.Addr >= pg+lb || end <= pg+mem.PageSize-lb {
-			return 0, false
+			return 0, false, false
 		}
 		lo, hi := max(pg, s.Addr)-s.Addr, min(pg+mem.PageSize, end)-s.Addr
-		if !mem.IsZero(s.Data[lo:hi]) {
-			return 0, false
-		}
+		zero = zero && mem.IsZero(s.Data[lo:hi])
 		ctr++
 	}
-	return ctr, true
+	return ctr, zero, true
 }
 
-// imageLine writes into plain the line at a as the image leaves it — the
-// segments' bytes, in order, over zeroes — and returns how many segments
-// touch it.
+// imageLine writes into plain the bytes at a as the image leaves them —
+// the segments' bytes, in order, over zeroes — and returns how many
+// segments touch them. plain is one line, or one page.
 func imageLine(plain []byte, a uint64, image []Segment) uint64 {
 	clear(plain)
 	lb := uint64(len(plain))
@@ -781,7 +822,7 @@ func (c *Controller) treeNodeAddr(id mactree.NodeID) uint64 {
 // the bus (authen-then-fetch passes the completion cycle of the relevant
 // authentication request; everyone else passes 0).
 func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64) (FetchResult, error) {
-	idx, ok := c.LeafIndex(lineAddr)
+	r, idx, ok := c.rangeOf(lineAddr)
 	if !ok {
 		return FetchResult{}, fmt.Errorf("secmem: fetch of unprotected line %#x", lineAddr)
 	}
@@ -849,7 +890,17 @@ func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64)
 
 	ct := c.ctBuf
 	c.mem.ReadInto(ct, lineAddr)
-	if err := c.enc.DecryptLineInto(c.ptBuf, lineAddr, ct); err != nil {
+	// A line still exactly as the sealed-page table sealed it decrypts to
+	// its image plaintext and, under flat MACs, verifies: serve both
+	// without crypto. Everything timed is charged the same either way.
+	known := c.knownLine(lineAddr, idx, r)
+	if known {
+		c.enc.NoteDecrypt(lineAddr)
+		imageLine(c.ptBuf, lineAddr, c.image)
+		if c.perf != nil {
+			c.perf.KnownFetches++
+		}
+	} else if err := c.enc.DecryptLineInto(c.ptBuf, lineAddr, ct); err != nil {
 		return FetchResult{}, err
 	}
 
@@ -871,7 +922,12 @@ func (c *Controller) Fetch(now uint64, lineAddr uint64, earliestBusStart uint64)
 
 	// Enqueue on the authentication queue: the in-order engine starts this
 	// request when the data has arrived and every earlier request is done.
-	ok, treeLevels, nodeFetches := c.verifyLine(lineAddr, idx, ct)
+	// A known line passes a flat MAC check by construction; the tree walk
+	// still runs, for the path it visits.
+	ok, treeLevels, nodeFetches := true, 0, 0
+	if !known || c.tree != nil {
+		ok, treeLevels, nodeFetches = c.verifyLine(lineAddr, idx, ct)
+	}
 	var authDone uint64
 	switch {
 	case c.cfg.Mode == ModeCBC && c.tree == nil:

@@ -9,7 +9,7 @@ import (
 	"authpoint/internal/mem"
 )
 
-// newTablePage returns a zeroed page for the sealed-zero table, mapped
+// newTablePage returns a zeroed page for the sealed-page table, mapped
 // outside the Go heap where the platform's page size matches the model's.
 // Table pages live as long as the process, so the garbage collector gains
 // nothing by tracking them, and off-heap they do not inflate its heap goal.

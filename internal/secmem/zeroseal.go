@@ -1,65 +1,79 @@
 package secmem
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"sync"
 
 	"authpoint/internal/mem"
 )
 
-// The sealed-zero table. A protected line holding plaintext zeroes at
-// counter c has ciphertext pad(addr, c) and flat MAC HMAC(addr‖c‖ct). Both
-// depend only on the line address, the counter and the crypto geometry
-// (keys, line and MAC sizes, whether the MAC covers the counter); not on
-// the line's leaf index, the other ranges of the layout, or the program.
-// Every line of a fresh layout that no image touches is zero at counter 1,
-// and a zero-filled data array the image wrote once is zero at counter 2.
-// So the table keeps sealed zero pages per (geometry, counter, page),
-// process-wide, and FinishProtection installs their ciphertext into each
-// machine's external memory as shared copy-on-write pages instead of
+// The sealed-page table. A protected line holding plaintext p at counter c
+// has ciphertext pad(addr, c) ⊕ p and flat MAC HMAC(addr‖c‖ct). Both depend
+// only on the line address, the counter, the plaintext and the crypto
+// geometry (keys, line and MAC sizes, whether the MAC covers the counter);
+// not on the line's leaf index, the other ranges of the layout, or the
+// machine. FinishProtection seals a line at 1 + the number of image
+// segments touching it, so every whole protected page whose lines all
+// share one counter — the zero pages no image touches, zero-filled data
+// arrays, and the pages of a program's data image — seals to the same
+// ciphertext and MACs in every machine that loads the same bytes there.
+// The table keeps such pages process-wide, keyed by geometry, page address,
+// counter and a SHA-256 of the plaintext page (all-zero pages, the common
+// case, skip the hash), and FinishProtection installs their ciphertext into
+// each machine's external memory as shared copy-on-write pages instead of
 // re-running AES and HMAC for every line of every machine.
 //
 // Entries are filled on first use by the controller that needs them,
 // through the same SealInto + lineMac computation every other seal uses,
-// and are immutable afterwards. The table grows only with the set of
-// protected zero pages ever sealed — the stack and probe windows and the
-// zero data pages, all at fixed addresses — times the few geometries in
-// use, never with the number of programs or machines built.
+// and are immutable afterwards. They hold the ciphertext and MACs only:
+// the plaintext stays with each machine's image segments, where a
+// controller's Fetch finds it again (see knownLine). The table grows with
+// the set of distinct protected pages ever sealed — the stack and probe
+// windows, zero data pages, and the whole data pages of the programs built
+// — times the few geometries in use, never with the number of machines
+// built from those programs.
 
-// sealGeom is everything a sealed zero line depends on besides its address.
+// sealGeom is everything a sealed line depends on besides its address,
+// counter and plaintext.
 type sealGeom struct {
 	encKey, macKey   string
 	lineB, macB      int
 	macCoversCounter bool
 }
 
-// zeroTable holds the sealed-zero pages of one geometry.
-type zeroTable struct {
+// sealTable holds the sealed pages of one geometry.
+type sealTable struct {
 	mu    sync.Mutex
-	pages map[zeroKey]*zeroPage
+	pages map[pageKey]*sealedPage
 }
 
-// zeroKey names one sealed-zero page: its address and the counter its
-// lines are sealed at (1 for lines no image touched, 2 for zero lines a
-// program image wrote once).
-type zeroKey struct{ pg, ctr uint64 }
+// pageKey names one sealed page: its address, the counter its lines are
+// sealed at, and the SHA-256 of its plaintext (zero for a page of zeroes).
+type pageKey struct {
+	pg, ctr uint64
+	sum     [sha256.Size]byte
+}
 
-// zeroPage is one page of sealed zero lines: the ciphertext, and the flat
-// MAC of each line in address order. Read-only once filled.
-type zeroPage struct {
+// sealedPage is one page of sealed lines: the counter they share, the
+// ciphertext, and the flat MAC of each line in address order. Read-only
+// once filled.
+type sealedPage struct {
 	fill sync.Once
+	ctr  uint64
 	ct   []byte // mem.PageSize bytes
 	macs []byte // MacB bytes per line
 }
 
-var zeroTables struct {
+var sealTables struct {
 	mu     sync.Mutex
-	byGeom map[sealGeom]*zeroTable
+	byGeom map[sealGeom]*sealTable
 }
 
-// zeroTableFor returns the table for c's geometry, or nil when lines do not
+// sealTableFor returns the table for c's geometry, or nil when lines do not
 // tile pages (a line larger than a page), in which case every line is
 // sealed individually.
-func zeroTableFor(c *Controller) *zeroTable {
+func sealTableFor(c *Controller) *sealTable {
 	if c.cfg.LineB > mem.PageSize {
 		return nil
 	}
@@ -67,45 +81,52 @@ func zeroTableFor(c *Controller) *zeroTable {
 		encKey: string(c.encKey), macKey: string(c.macKey),
 		lineB: c.cfg.LineB, macB: c.cfg.MacB, macCoversCounter: c.cfg.MacCoversCounter,
 	}
-	zeroTables.mu.Lock()
-	defer zeroTables.mu.Unlock()
-	if zeroTables.byGeom == nil {
-		zeroTables.byGeom = map[sealGeom]*zeroTable{}
+	sealTables.mu.Lock()
+	defer sealTables.mu.Unlock()
+	if sealTables.byGeom == nil {
+		sealTables.byGeom = map[sealGeom]*sealTable{}
 	}
-	t := zeroTables.byGeom[g]
+	t := sealTables.byGeom[g]
 	if t == nil {
-		t = &zeroTable{pages: map[zeroKey]*zeroPage{}}
-		zeroTables.byGeom[g] = t
+		t = &sealTable{pages: map[pageKey]*sealedPage{}}
+		sealTables.byGeom[g] = t
 	}
 	return t
 }
 
-// page returns the page at the page-aligned address pg sealed zero at
-// counter ctr, sealing it with c's engines if no controller has yet.
-// Concurrent callers for the same page wait for the one fill.
-func (t *zeroTable) page(c *Controller, ctr, pg uint64) *zeroPage {
-	k := zeroKey{pg, ctr}
+// page returns the page at the page-aligned address pg sealed at counter
+// ctr with plaintext plain (nil for zeroes), sealing it with c's engines if
+// no controller has yet. Concurrent callers for the same page wait for the
+// one fill.
+func (t *sealTable) page(c *Controller, pg, ctr uint64, plain []byte) *sealedPage {
+	k := pageKey{pg: pg, ctr: ctr}
+	if plain != nil {
+		k.sum = sha256.Sum256(plain)
+	}
 	t.mu.Lock()
-	zp := t.pages[k]
-	if zp == nil {
-		zp = &zeroPage{}
-		t.pages[k] = zp
+	sp := t.pages[k]
+	if sp == nil {
+		sp = &sealedPage{ctr: ctr}
+		t.pages[k] = sp
 	}
 	t.mu.Unlock()
-	zp.fill.Do(func() { zp.ct, zp.macs = c.sealZeroPage(ctr, pg) })
-	return zp
+	sp.fill.Do(func() { sp.ct, sp.macs = c.sealPage(pg, ctr, plain) })
+	return sp
 }
 
-// sealZeroPage seals every line of the page at pg as plaintext zeroes at
-// counter ctr.
-func (c *Controller) sealZeroPage(ctr, pg uint64) (ct, macs []byte) {
+// sealPage seals every line of the page at pg at counter ctr, with the
+// plaintext page plain, or zeroes when plain is nil.
+func (c *Controller) sealPage(pg, ctr uint64, plain []byte) (ct, macs []byte) {
 	lb, mb := c.cfg.LineB, c.cfg.MacB
 	ct, mapped := newTablePage()
 	macs = make([]byte, mem.PageSize/lb*mb)
 	zero := make([]byte, lb)
 	for i := 0; i < mem.PageSize/lb; i++ {
-		a, line := pg+uint64(i*lb), ct[i*lb:(i+1)*lb]
-		if err := c.enc.SealInto(line, a, ctr, zero); err != nil {
+		a, line, pt := pg+uint64(i*lb), ct[i*lb:(i+1)*lb], zero
+		if plain != nil {
+			pt = plain[i*lb : (i+1)*lb]
+		}
+		if err := c.enc.SealInto(line, a, ctr, pt); err != nil {
 			panic(err) // unreachable: lines are lineB bytes by construction
 		}
 		mac := c.lineMac(a, ctr, line)
@@ -116,4 +137,33 @@ func (c *Controller) sealZeroPage(ctr, pg uint64) (ct, macs []byte) {
 		freezeTablePage(ct)
 	}
 	return ct, macs
+}
+
+// knownLine reports whether the protected line at a (leaf idx, in range r)
+// is still exactly as the table sealed it: its page is still the table
+// page this controller installed (no write has copied it), its counter is
+// the page's, and, where a flat MAC is verified, its stored MAC is the
+// table's. Such a line decrypts to its image plaintext and verifies,
+// because both are pure functions of inputs that equal the sealed ones.
+func (c *Controller) knownLine(a uint64, idx int, r *addrRange) bool {
+	if r.shared == nil {
+		return false
+	}
+	sp := r.shared[(a-r.firstPage())>>mem.PageShift]
+	if sp == nil {
+		return false
+	}
+	if b := c.mem.SharedPage(a); len(b) == 0 || &b[0] != &sp.ct[0] {
+		return false
+	}
+	if c.enc.Counter(a) != sp.ctr {
+		return false
+	}
+	if c.cfg.Authenticate && c.tree == nil {
+		mb := c.cfg.MacB
+		i := int(a&(mem.PageSize-1)) / c.cfg.LineB
+		c.mem.ReadInto(c.macBuf, c.macAddr(idx))
+		return bytes.Equal(c.macBuf, sp.macs[i*mb:(i+1)*mb])
+	}
+	return true
 }

@@ -144,7 +144,7 @@ func setupOverRun(t *testing.T) (build, run float64) {
 			t.Fatal(err)
 		}
 	}
-	newProbe() // fill the sealed-zero table: the gate times warm builds
+	newProbe() // fill the sealed-page table: the gate times warm builds
 	for round := 0; round < 3; round++ {
 		b := best(20, newProbe)
 		m := benchMachine(t, policy.ThenCommit, 50_000, false)

@@ -209,7 +209,9 @@ func (m *Machine) load(p *asm.Program) error {
 	}
 	// Seal the layout with the image in place: text and data lines go
 	// straight to their loaded state, the rest of every region is sealed
-	// zeroes (shared from the controller's sealed-zero table).
+	// zeroes; whole pages come shared from the sealed-page table. The
+	// controller keeps the image to serve fetches of lines still as sealed,
+	// so the program's bytes must not change while the machine lives.
 	image := []secmem.Segment{{Addr: p.TextBase, Data: text}, {Addr: p.DataBase, Data: p.Data}}
 	if err := m.Ctrl.FinishProtection(image...); err != nil {
 		return err
@@ -308,6 +310,7 @@ func (m *Machine) EnablePerf() *obs.Perf {
 	if m.perf == nil {
 		m.perf = &obs.Perf{}
 		m.Core.SetPerf(m.perf)
+		m.Ctrl.SetPerf(m.perf)
 	}
 	return m.perf
 }

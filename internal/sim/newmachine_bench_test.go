@@ -28,9 +28,9 @@ func assembleWorkload(tb testing.TB, name string) *asm.Program {
 
 // benchNewMachine measures machine construction alone: controller, sealed
 // layout, program image, memory system and core. The first build of a
-// layout in the process seals its zero pages into the sealed-zero table;
-// every iteration after the warm-up build reuses them, as every machine
-// after the first does in a campaign.
+// layout in the process seals its shareable pages into the sealed-page
+// table; every iteration after the warm-up build reuses them, as every
+// machine after the first does in a campaign.
 func benchNewMachine(b *testing.B, name string, regions []sim.Region) {
 	p := assembleWorkload(b, name)
 	cfg := sim.DefaultConfig()
