@@ -50,9 +50,12 @@ type Cache struct {
 	// mask instead of divisions.
 	lineShift uint
 	setBits   uint
-	lines     [][]Line // [set][way]
-	order     [][]int  // LRU order: order[s][0] = MRU way
-	stats     Stats
+	// lines and order are flat, pointer-free tables indexed set*Ways+way:
+	// lines holds each slot's line, and order[set*Ways:(set+1)*Ways] lists
+	// the set's ways from MRU to LRU.
+	lines []Line
+	order []int32
+	stats Stats
 
 	sink  obs.Sink
 	track obs.Track
@@ -86,19 +89,12 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{cfg: cfg, sets: sets,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineB))),
 		setBits:   uint(bits.TrailingZeros(uint(sets)))}
-	// One backing array per table, sliced per set: a machine builds
-	// several caches with thousands of sets, and per-set allocations
-	// dominated its construction.
-	lines, order := make([]Line, sets*cfg.Ways), make([]int, sets*cfg.Ways)
-	c.lines = make([][]Line, sets)
-	c.order = make([][]int, sets)
-	for s := 0; s < sets; s++ {
-		lo, hi := s*cfg.Ways, (s+1)*cfg.Ways
-		c.lines[s] = lines[lo:hi:hi]
-		c.order[s] = order[lo:hi:hi]
-		for w := 0; w < cfg.Ways; w++ {
-			c.order[s][w] = w
-		}
+	// Two flat allocations without pointers: a machine builds several
+	// caches with thousands of sets, and the garbage collector need not
+	// scan either table.
+	c.lines, c.order = make([]Line, sets*cfg.Ways), make([]int32, sets*cfg.Ways)
+	for i := range c.order {
+		c.order[i] = int32(i % cfg.Ways)
 	}
 	return c, nil
 }
@@ -123,6 +119,12 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int(line & uint64(c.sets-1)), line >> c.setBits
 }
 
+// set returns the lines and the LRU order of one set.
+func (c *Cache) set(set int) ([]Line, []int32) {
+	lo, hi := set*c.cfg.Ways, (set+1)*c.cfg.Ways
+	return c.lines[lo:hi:hi], c.order[lo:hi:hi]
+}
+
 // lineAddrOf rebuilds the address of the line with tag in set.
 func (c *Cache) lineAddrOf(tag uint64, set int) uint64 {
 	return (tag<<c.setBits | uint64(set)) << c.lineShift
@@ -139,8 +141,9 @@ func (c *Cache) Slots() int { return c.sets * c.cfg.Ways }
 // indexed by slot instead of growing Line, which every cache allocates.
 func (c *Cache) Slot(addr uint64) int {
 	set, tag := c.index(addr)
-	for w := range c.lines[set] {
-		if l := &c.lines[set][w]; l.Valid && l.Tag == tag {
+	lines, _ := c.set(set)
+	for w := range lines {
+		if l := &lines[w]; l.Valid && l.Tag == tag {
 			return set*c.cfg.Ways + w
 		}
 	}
@@ -150,9 +153,9 @@ func (c *Cache) Slot(addr uint64) int {
 // Probe reports whether addr hits, without updating LRU or stats.
 func (c *Cache) Probe(addr uint64) (*Line, bool) {
 	set, tag := c.index(addr)
-	for w := range c.lines[set] {
-		l := &c.lines[set][w]
-		if l.Valid && l.Tag == tag {
+	lines, _ := c.set(set)
+	for w := range lines {
+		if l := &lines[w]; l.Valid && l.Tag == tag {
 			return l, true
 		}
 	}
@@ -163,10 +166,11 @@ func (c *Cache) Probe(addr uint64) (*Line, bool) {
 // on a hit. It reports the hit and, on a hit, the line.
 func (c *Cache) Access(addr uint64, write bool) (*Line, bool) {
 	set, tag := c.index(addr)
-	for _, w := range c.order[set] {
-		l := &c.lines[set][w]
+	lines, order := c.set(set)
+	for i, w := range order {
+		l := &lines[w]
 		if l.Valid && l.Tag == tag {
-			c.touch(set, w)
+			touch(order, i)
 			if write && c.cfg.WriteBck {
 				l.Dirty = true
 			}
@@ -184,7 +188,7 @@ func (c *Cache) Access(addr uint64, write bool) (*Line, bool) {
 	return nil, false
 }
 
-// Victim describes a line evicted by Fill.
+// Victim describes a line evicted by Fill or dropped by Invalidate.
 type Victim struct {
 	Addr  uint64
 	Dirty bool
@@ -192,74 +196,64 @@ type Victim struct {
 }
 
 // Fill installs addr's line (after a miss), evicting the LRU way. It returns
-// the filled line and, if a valid line was displaced, its identity. write
-// marks the new line dirty.
-func (c *Cache) Fill(addr uint64, write bool) (*Line, *Victim) {
+// the filled line and, when a valid line was displaced (evicted), its
+// identity. write marks the new line dirty.
+func (c *Cache) Fill(addr uint64, write bool) (l *Line, v Victim, evicted bool) {
 	set, tag := c.index(addr)
-	way := c.order[set][c.cfg.Ways-1]
-	l := &c.lines[set][way]
-	var ev *Victim
+	lines, order := c.set(set)
+	l = &lines[order[len(order)-1]]
 	if l.Valid {
 		c.stats.Evictions++
-		ev = &Victim{
-			Addr:  c.lineAddrOf(l.Tag, set),
-			Dirty: l.Dirty,
-			Aux:   l.Aux,
-		}
+		v, evicted = Victim{Addr: c.lineAddrOf(l.Tag, set), Dirty: l.Dirty, Aux: l.Aux}, true
 		if l.Dirty {
 			c.stats.Writebacks++
 		}
 	}
 	*l = Line{Tag: tag, Valid: true, Dirty: write && c.cfg.WriteBck}
-	c.touch(set, way)
-	return l, ev
+	touch(order, len(order)-1)
+	return l, v, evicted
 }
 
-// Invalidate drops addr's line if present, returning its prior state.
-func (c *Cache) Invalidate(addr uint64) *Victim {
+// Invalidate drops addr's line if present, returning its prior state and
+// whether it was present.
+func (c *Cache) Invalidate(addr uint64) (Victim, bool) {
 	set, tag := c.index(addr)
-	for w := range c.lines[set] {
-		l := &c.lines[set][w]
-		if l.Valid && l.Tag == tag {
-			v := &Victim{Addr: c.LineAddr(addr), Dirty: l.Dirty, Aux: l.Aux}
+	lines, _ := c.set(set)
+	for w := range lines {
+		if l := &lines[w]; l.Valid && l.Tag == tag {
 			l.Valid = false
-			return v
+			return Victim{Addr: c.LineAddr(addr), Dirty: l.Dirty, Aux: l.Aux}, true
 		}
 	}
-	return nil
+	return Victim{}, false
 }
 
 // InvalidateAll drops every line, returning the dirty victims (for
 // write-back flushing).
 func (c *Cache) InvalidateAll() []Victim {
 	var out []Victim
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			l := &c.lines[s][w]
-			if l.Valid {
-				if l.Dirty {
-					out = append(out, Victim{
-						Addr:  c.lineAddrOf(l.Tag, s),
-						Dirty: true,
-						Aux:   l.Aux,
-					})
-				}
-				l.Valid = false
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.Valid {
+			if l.Dirty {
+				out = append(out, Victim{
+					Addr:  c.lineAddrOf(l.Tag, i/c.cfg.Ways),
+					Dirty: true,
+					Aux:   l.Aux,
+				})
 			}
+			l.Valid = false
 		}
 	}
 	return out
 }
 
-func (c *Cache) touch(set, way int) {
-	ord := c.order[set]
-	for i, w := range ord {
-		if w == way {
-			copy(ord[1:i+1], ord[:i])
-			ord[0] = way
-			return
-		}
-	}
+// touch makes order[i], a way of the set whose LRU order is order, its MRU
+// way.
+func touch(order []int32, i int) {
+	w := order[i]
+	copy(order[1:i+1], order[:i])
+	order[0] = w
 }
 
 // Stats returns a copy of the event counters.

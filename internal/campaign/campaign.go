@@ -20,6 +20,7 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -156,7 +157,9 @@ func (s *Store) Get(k Key, out any) (bool, error) {
 		s.misses.Add(1)
 		return false, nil
 	}
-	if err := json.Unmarshal(e.Result, out); err != nil {
+	// A null result decodes into out without error and leaves it as it
+	// was, so it is a miss too, not a hit on a zero result.
+	if bytes.Equal(e.Result, []byte("null")) || json.Unmarshal(e.Result, out) != nil {
 		s.misses.Add(1)
 		return false, nil
 	}

@@ -136,6 +136,34 @@ func (e *Engine) Counter(addr uint64) uint64 {
 // a counter back).
 func (e *Engine) SetCounter(addr, ctr uint64) { e.counters[addr] = ctr }
 
+// Counters is a frozen copy of an engine's counter table.
+type Counters struct {
+	implied []impliedRange
+	lines   []lineCounter
+}
+
+type lineCounter struct{ addr, ctr uint64 }
+
+// Counters returns a copy of the counter table: the implied ranges and the
+// counters of individual lines.
+func (e *Engine) Counters() Counters {
+	s := Counters{implied: slices.Clone(e.implied), lines: make([]lineCounter, 0, len(e.counters))}
+	for a, c := range e.counters {
+		s.lines = append(s.lines, lineCounter{a, c})
+	}
+	return s
+}
+
+// SetCounters replaces the counter table with a copy of s: every line then
+// has the counter it had in the engine s was taken from.
+func (e *Engine) SetCounters(s Counters) {
+	e.implied = slices.Clone(s.implied)
+	clear(e.counters)
+	for _, l := range s.lines {
+		e.counters[l.addr] = l.ctr
+	}
+}
+
 // Pad computes the one-time pad for the line at addr under counter ctr.
 func (e *Engine) Pad(addr, ctr uint64) []byte {
 	pad := make([]byte, e.lineSize)

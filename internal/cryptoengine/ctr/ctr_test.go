@@ -257,3 +257,29 @@ func TestSealInto(t *testing.T) {
 		t.Fatal("short destination accepted")
 	}
 }
+
+// TestCountersCopy pins Counters/SetCounters: another engine given the copy
+// has every line's counter, implied or individual, and the two tables stay
+// independent afterwards.
+func TestCountersCopy(t *testing.T) {
+	e := newEngine(t, 64)
+	e.ImplyCounter(0x1000, 0x2000, 2)
+	e.ImplyCounter(0x4000, 0x5000, 1)
+	e.SetCounter(0x1040, 5)
+	if _, err := e.EncryptLine(0x4080, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	f := newEngine(t, 64)
+	f.SetCounter(0x9000, 3) // replaced by the copy
+	f.SetCounters(e.Counters())
+	for _, a := range []uint64{0x1000, 0x1040, 0x1fc0, 0x2000, 0x4000, 0x4080, 0x9000} {
+		if f.Counter(a) != e.Counter(a) {
+			t.Errorf("line %#x: counter %d, want %d", a, f.Counter(a), e.Counter(a))
+		}
+	}
+	f.SetCounter(0x1000, 9)
+	f.ImplyCounter(0x6000, 0x7000, 4)
+	if e.Counter(0x1000) != 2 || e.Counter(0x6000) != 0 {
+		t.Error("writing the copy changed the original")
+	}
+}

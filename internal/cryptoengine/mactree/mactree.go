@@ -16,6 +16,7 @@
 package mactree
 
 import (
+	"bytes"
 	"fmt"
 
 	"authpoint/internal/cryptoengine/hmac"
@@ -93,6 +94,19 @@ func alloc(key []byte, numLeaves, arity, macSize int) (*Tree, error) {
 		n = (n + arity - 1) / arity
 	}
 	return t, nil
+}
+
+// Clone returns an independent copy of the tree: node storage and root are
+// copied, so tampering or updating either tree leaves the other as it was.
+func (t *Tree) Clone() *Tree {
+	c := *t
+	c.levels = make([][]byte, len(t.levels))
+	for l, row := range t.levels {
+		c.levels[l] = bytes.Clone(row)
+	}
+	c.root = bytes.Clone(t.root)
+	c.msg = nil
+	return &c
 }
 
 // rebuild recomputes every internal node and the root from the leaves.

@@ -312,3 +312,30 @@ func TestBuildMatchesSetLeaf(t *testing.T) {
 		t.Error("Build accepted zero leaves")
 	}
 }
+
+// TestClone pins Clone: the copy verifies what the original does, and
+// tampering or updating either tree leaves the other as it was.
+func TestClone(t *testing.T) {
+	tr, err := Build([]byte("clone-key"), 100, 8, 8, func(i int) []byte { return []byte{byte(i)} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tr.Clone()
+	if ok, _ := c.VerifyLeaf(42, []byte{42}, nil); !ok {
+		t.Fatal("clone rejects a leaf the original holds")
+	}
+	root := tr.Root()
+	c.TamperNode(NodeID{Level: 0, Index: 42}, []byte{1})
+	if _, err := c.SetLeaf(7, []byte{0xff}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := tr.VerifyLeaf(42, []byte{42}, nil); !ok {
+		t.Fatal("tampering the clone changed the original")
+	}
+	if !bytes.Equal(tr.Root(), root) {
+		t.Fatal("updating the clone changed the original's root")
+	}
+	if ok, _ := c.VerifyLeaf(7, []byte{0xff}, nil); !ok {
+		t.Fatal("the clone's update did not take")
+	}
+}

@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 
@@ -169,11 +170,12 @@ type Options struct {
 	// replay corpus pins. Checks with Mutate set bypass the cache (a
 	// mutation function has no canonical fingerprint).
 	Cache *campaign.Store
-	// Oracle, if set, memoizes the in-order oracle leg across checks: the
-	// oracle run is policy-independent (up to the architectural PAC mode),
-	// so a cross campaign pays it once per seed instead of once per
-	// (seed x policy). Checks with Mutate set bypass the memo (mutations
-	// may move the digest windows).
+	// Oracle, if set, memoizes the assembled program and the in-order
+	// oracle leg across checks: assembly depends on the source alone, and
+	// the oracle run is policy-independent (up to the architectural PAC
+	// mode), so a cross campaign pays each once per seed instead of once
+	// per (seed x policy). Checks with Mutate set still share the program
+	// but bypass the oracle memo (mutations may move the digest windows).
 	Oracle *OracleMemo
 }
 
@@ -300,7 +302,17 @@ func cacheKey(src string, opt Options) campaign.Key {
 func check(src string, opt Options) Result {
 	res := Result{Policy: opt.Policy.Normalize(), Tamper: opt.Tamper, Site: opt.TamperSite}
 
-	p, err := asm.Assemble(src)
+	// A memo hands every cell of a program the same assembled program,
+	// keyed by the source's digest.
+	var sum [32]byte
+	var p *asm.Program
+	var err error
+	if opt.Oracle != nil {
+		sum = sha256.Sum256([]byte(src))
+		p, err = opt.Oracle.assemble(sum, src)
+	} else {
+		p, err = asm.Assemble(src)
+	}
 	if err != nil {
 		res.Verdict = VerdictError
 		res.Divergence = "assemble: " + err.Error()
@@ -344,7 +356,7 @@ func check(src string, opt Options) Result {
 	mode := pacModeFor(res.Policy)
 	var oracle *oracleState
 	if opt.Oracle != nil && opt.Mutate == nil {
-		oracle = opt.Oracle.run(src, p, mode, opt.MaxOracleInsts, ranges)
+		oracle = opt.Oracle.run(sum, p, mode, opt.MaxOracleInsts, ranges)
 	} else {
 		oracle = runOracle(p, mode, opt.MaxOracleInsts, ranges)
 	}

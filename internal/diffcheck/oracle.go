@@ -2,8 +2,8 @@ package diffcheck
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"sync"
+	"sync/atomic"
 
 	"authpoint/internal/asm"
 	"authpoint/internal/cryptoengine/pacmac"
@@ -91,79 +91,120 @@ type oracleKey struct {
 	maxInsts uint64
 }
 
-// oracleEntry is one memo slot; ready closes when st is set (singleflight:
-// concurrent workers on the same seed wait instead of re-running).
-type oracleEntry struct {
-	ready chan struct{}
-	st    *oracleState
+// assembled is one memoized assembly of a source.
+type assembled struct {
+	p   *asm.Program
+	err error
 }
 
-// OracleMemo memoizes in-order oracle runs across differential checks.
-// Sweeps share one memo across all cells; entries are evicted
-// oldest-inserted-first past the cap, which matches the seed-major cell
-// order of cross campaigns (all policies of a seed are adjacent). The memo
-// only serves checks with default digest windows (Options.Mutate unset) —
-// Check bypasses it otherwise. Safe for concurrent use.
+// OracleMemo memoizes, across differential checks, the assembled program of
+// each source and the in-order oracle runs. Sweeps share one memo across
+// all cells, so every cell of a program runs on one immutable *asm.Program
+// (sharing is safe: sim.TestProgramImmutable pins that no machine writes
+// it). Entries are evicted oldest-inserted-first past the cap, which
+// matches the seed-major cell order of cross campaigns (all policies of a
+// seed are adjacent): only the programs in flight need to stay, so at most
+// memoPrograms of them do. Oracle runs are only memoized for checks with
+// default digest windows (Options.Mutate unset) — Check bypasses that half
+// otherwise. Safe for concurrent use.
 type OracleMemo struct {
-	mu     sync.Mutex
-	max    int
-	m      map[oracleKey]*oracleEntry
-	fifo   []oracleKey
-	hits   uint64
-	misses uint64
+	mu      sync.Mutex
+	progs   fifoMemo[[32]byte, assembled]
+	oracles fifoMemo[oracleKey, *oracleState]
+	hits    atomic.Uint64
+	misses  atomic.Uint64
 }
 
 // DefaultOracleMemoCap bounds the memo: entries hold the data-segment and
 // stack snapshots of one run, so ~128 in-flight seeds is a few MB.
 const DefaultOracleMemoCap = 128
 
-// NewOracleMemo builds a memo holding at most cap entries (<=0 means
-// DefaultOracleMemoCap).
+// memoPrograms bounds the assembled programs a memo keeps: a cross campaign
+// has one program in flight per worker, and a program evicted early is
+// only assembled again.
+const memoPrograms = 16
+
+// NewOracleMemo builds a memo holding at most cap oracle runs (<=0 means
+// DefaultOracleMemoCap) and at most min(cap, memoPrograms) programs.
 func NewOracleMemo(cap int) *OracleMemo {
 	if cap <= 0 {
 		cap = DefaultOracleMemoCap
 	}
-	return &OracleMemo{max: cap, m: make(map[oracleKey]*oracleEntry)}
+	return &OracleMemo{progs: fifoMemo[[32]byte, assembled]{max: min(cap, memoPrograms)},
+		oracles: fifoMemo[oracleKey, *oracleState]{max: cap}}
 }
 
-// Hits and Misses report the memo's lifetime lookup counts. A hit is any
-// check that avoided an oracle run, including waiters on an in-flight run.
-func (om *OracleMemo) Hits() uint64 {
-	om.mu.Lock()
-	defer om.mu.Unlock()
-	return om.hits
+// Hits and Misses report the memo's lifetime oracle lookup counts. A hit is
+// any check that avoided an oracle run, including waiters on an in-flight
+// run.
+func (om *OracleMemo) Hits() uint64 { return om.hits.Load() }
+
+func (om *OracleMemo) Misses() uint64 { return om.misses.Load() }
+
+// assemble returns the memoized assembly of src, whose SHA-256 is sum,
+// assembling it at most once per source even under concurrent lookups.
+func (om *OracleMemo) assemble(sum [32]byte, src string) (*asm.Program, error) {
+	a, _ := om.progs.get(om, sum, func() assembled {
+		p, err := asm.Assemble(src)
+		return assembled{p, err}
+	})
+	return a.p, a.err
 }
 
-func (om *OracleMemo) Misses() uint64 {
-	om.mu.Lock()
-	defer om.mu.Unlock()
-	return om.misses
+// run returns the memoized oracle state for (the source with SHA-256 sum,
+// mode, maxInsts), running the oracle at most once per key even under
+// concurrent lookups.
+func (om *OracleMemo) run(sum [32]byte, p *asm.Program, mode pacmac.Mode, maxInsts uint64, ranges []interp.MemRange) *oracleState {
+	st, hit := om.oracles.get(om, oracleKey{prog: sum, mode: mode, maxInsts: maxInsts}, func() *oracleState {
+		return runOracle(p, mode, maxInsts, ranges)
+	})
+	if hit {
+		om.hits.Add(1)
+	} else {
+		om.misses.Add(1)
+	}
+	return st
 }
 
-// run returns the memoized oracle state for (src, mode, maxInsts), running
-// the oracle at most once per key even under concurrent lookups.
-func (om *OracleMemo) run(src string, p *asm.Program, mode pacmac.Mode, maxInsts uint64, ranges []interp.MemRange) *oracleState {
-	key := oracleKey{prog: sha256.Sum256([]byte(src)), mode: mode, maxInsts: maxInsts}
+// fifoMemo is one table of an OracleMemo, holding at most max entries,
+// guarded by the memo's mutex.
+type fifoMemo[K comparable, V any] struct {
+	max  int
+	m    map[K]*memoEntry[V]
+	fifo []K
+}
+
+// memoEntry is one memo slot; ready closes when v is set (singleflight:
+// concurrent workers on the same key wait instead of computing it again).
+type memoEntry[V any] struct {
+	ready chan struct{}
+	v     V
+}
+
+// get returns the value for k, calling fill to compute it on the first
+// lookup only, and reports whether it was there already.
+func (f *fifoMemo[K, V]) get(om *OracleMemo, k K, fill func() V) (V, bool) {
 	om.mu.Lock()
-	if e, ok := om.m[key]; ok {
-		om.hits++
+	if e, ok := f.m[k]; ok {
 		om.mu.Unlock()
 		<-e.ready
-		return e.st
+		return e.v, true
 	}
-	om.misses++
-	e := &oracleEntry{ready: make(chan struct{})}
-	om.m[key] = e
-	om.fifo = append(om.fifo, key)
-	for len(om.fifo) > om.max {
+	if f.m == nil {
+		f.m = make(map[K]*memoEntry[V])
+	}
+	e := &memoEntry[V]{ready: make(chan struct{})}
+	f.m[k] = e
+	f.fifo = append(f.fifo, k)
+	for len(f.fifo) > f.max {
 		// Evict the oldest key. In-flight evictees are fine: waiters hold the
 		// entry pointer, only the map forgets it.
-		delete(om.m, om.fifo[0])
-		om.fifo = om.fifo[1:]
+		delete(f.m, f.fifo[0])
+		f.fifo = f.fifo[1:]
 	}
 	om.mu.Unlock()
 
-	e.st = runOracle(p, mode, maxInsts, ranges)
+	e.v = fill()
 	close(e.ready)
-	return e.st
+	return e.v, false
 }

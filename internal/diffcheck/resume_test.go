@@ -2,10 +2,13 @@ package diffcheck
 
 import (
 	"context"
+	"crypto/sha256"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"authpoint/internal/asm"
 	"authpoint/internal/campaign"
 	"authpoint/internal/policy"
 	"authpoint/internal/telemetry"
@@ -183,5 +186,41 @@ func TestOracleMemoModeSplit(t *testing.T) {
 	}
 	if memo.Misses() != misses+1 {
 		t.Fatalf("a PAC-mode change reused a non-PAC oracle run (misses %d -> %d)", misses, memo.Misses())
+	}
+}
+
+// TestOracleMemoSharesProgram pins the program half of the memo: cells of
+// one source checked at once all get the same assembled program, and the
+// memo keeps at most memoPrograms programs.
+func TestOracleMemoSharesProgram(t *testing.T) {
+	memo := NewOracleMemo(0)
+	src := GenProgram(31)
+	sum := sha256.Sum256([]byte(src))
+	progs := make([]*asm.Program, 4)
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if res := Check(src, Options{Policy: policy.ThenCommit, Oracle: memo}); res.Verdict != VerdictOK {
+				t.Errorf("%s (%s)", res.Verdict, res.Divergence)
+			}
+			progs[i], _ = memo.assemble(sum, src)
+		}(i)
+	}
+	wg.Wait()
+	for _, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatal("cells of one source got different assembled programs")
+		}
+	}
+	for seed := int64(100); seed < 100+2*memoPrograms; seed++ {
+		s := GenProgram(seed)
+		if _, err := memo.assemble(sha256.Sum256([]byte(s)), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(memo.progs.m); n != memoPrograms {
+		t.Fatalf("memo holds %d programs, want %d", n, memoPrograms)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"authpoint/internal/attack"
@@ -461,49 +460,79 @@ var Table2Policies = []policy.ControlPoint{
 }
 
 // Table2 demonstrates every cell of the characteristics matrix by running
-// the exploit suite against each control point. The per-policy exploit runs
-// are independent (each builds its own machines), so they fan out across
-// goroutines; rows come back in policy order.
+// the exploit suite against each control point. Each control point is one
+// campaign cell (its exploit runs build their own machines), swept on the
+// campaign worker pool; rows come back in policy order.
 func Table2() ([]Table2Row, error) {
-	rows := make([]Table2Row, len(Table2Policies))
-	errs := make([]error, len(Table2Policies))
-	var wg sync.WaitGroup
+	cells := make([]campaign.Cell, len(Table2Policies))
 	for i, pt := range Table2Policies {
-		wg.Add(1)
-		go func(i int, pt policy.ControlPoint) {
-			defer wg.Done()
-			pc, err := attack.PointerConversion(pt)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			io_, err := attack.IOPortDisclosure(pt)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			mt, err := attack.MemoryTaint(pt)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rows[i] = Table2Row{
-				Policy:                 pt,
-				PreventsFetchLeak:      !pc.Leaked,
-				PreciseException:       !io_.Leaked && io_.Detected,
-				AuthenticatedMemory:    !mt.Leaked,
-				AuthenticatedProcessor: !io_.Leaked && io_.Detected,
-				Detected:               pc.Detected,
-			}
-		}(i, pt)
+		cells[i] = campaign.Cell{Policy: pt}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	rep, err := campaign.Run(context.Background(), table2Check{}, cells, campaign.Sweep{})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Table2Row, len(cells))
+	for i, r := range rep.Results {
+		if r.err != nil {
+			return nil, r.err
 		}
+		rows[i] = r.row
 	}
 	return rows, nil
+}
+
+// table2Check is the campaign adapter of Table 2: kind "table2", one cell
+// per control point, checked by the exploit suite.
+type table2Check struct{}
+
+// table2Result is one control point's row, or the exploit run's error.
+type table2Result struct {
+	row Table2Row
+	err error
+}
+
+func (table2Check) Kind() string { return "table2" }
+
+func (table2Check) Runner([]campaign.Cell, func(*obs.Snapshot)) func(campaign.Cell) (table2Result, string) {
+	return func(c campaign.Cell) (table2Result, string) {
+		row, err := table2Row(c.Policy)
+		return table2Result{row, err}, ""
+	}
+}
+
+func (table2Check) Outcome(r table2Result) telemetry.Record {
+	var rec telemetry.Record
+	if r.err != nil {
+		rec.Err = r.err.Error()
+	}
+	return rec
+}
+
+func (table2Check) IsFinding(string) bool { return false }
+
+// table2Row runs the exploit suite against one control point.
+func table2Row(pt policy.ControlPoint) (Table2Row, error) {
+	pc, err := attack.PointerConversion(pt)
+	if err != nil {
+		return Table2Row{}, err
+	}
+	io_, err := attack.IOPortDisclosure(pt)
+	if err != nil {
+		return Table2Row{}, err
+	}
+	mt, err := attack.MemoryTaint(pt)
+	if err != nil {
+		return Table2Row{}, err
+	}
+	return Table2Row{
+		Policy:                 pt,
+		PreventsFetchLeak:      !pc.Leaked,
+		PreciseException:       !io_.Leaked && io_.Detected,
+		AuthenticatedMemory:    !mt.Leaked,
+		AuthenticatedProcessor: !io_.Leaked && io_.Detected,
+		Detected:               pc.Detected,
+	}, nil
 }
 
 // RenderTable2 prints the matrix in the paper's layout.

@@ -97,9 +97,34 @@ func (m *Memory) SharePage(addr uint64, b []byte) {
 	}
 }
 
-// SharedPage returns the buffer SharePage installed for the page holding
-// addr while the memory still reads through it: nil once a write has copied
-// the page (or when the page was never shared).
+// Page is one page of a memory: its page-aligned address and its bytes.
+type Page struct {
+	Addr uint64
+	B    []byte
+}
+
+// Pages reports how many pages the memory holds, shared or not.
+func (m *Memory) Pages() int { return len(m.pages) }
+
+// Freeze returns every page the memory owns and makes each one shared: the
+// memory copies a page before its next write to it, as if SharePage had
+// installed it, so no memory writes the returned buffers again. The caller
+// may install them into other memories with SharePage.
+func (m *Memory) Freeze() []Page {
+	var out []Page
+	for pn, p := range m.pages {
+		if !p.shared {
+			m.pages[pn] = page{b: p.b, shared: true}
+			out = append(out, Page{Addr: pn << PageShift, B: p.b})
+		}
+	}
+	m.lastOwned = false
+	return out
+}
+
+// SharedPage returns the buffer SharePage installed (or Freeze shared) for
+// the page holding addr while the memory still reads through it: nil once a
+// write has copied the page (or when the page was never shared).
 func (m *Memory) SharedPage(addr uint64) []byte {
 	p := m.readPage(addr)
 	if m.lastOwned {

@@ -191,6 +191,44 @@ func TestSharePageReplacesAndValidates(t *testing.T) {
 	}
 }
 
+// TestFreezeSharesOwnedPages pins Freeze: it returns exactly the pages the
+// memory owns, leaves shared pages out, and the memory copies a frozen page
+// before writing it, so a second memory sharing the returned buffers never
+// sees the first one's writes.
+func TestFreezeSharesOwnedPages(t *testing.T) {
+	m := New()
+	m.StoreByte(0x1003, 7) // owned, and in the one-entry cache
+	m.StoreByte(0x3000, 1)
+	table := make([]byte, PageSize)
+	m.SharePage(0x5000, table)
+	if m.Pages() != 3 {
+		t.Fatalf("Pages() = %d, want 3", m.Pages())
+	}
+	frozen := m.Freeze()
+	got := map[uint64]bool{}
+	for _, p := range frozen {
+		got[p.Addr] = true
+	}
+	if len(frozen) != 2 || !got[0x1000] || !got[0x3000] {
+		t.Fatalf("Freeze returned %v, want the owned pages 0x1000 and 0x3000", got)
+	}
+	n := New()
+	for _, p := range frozen {
+		n.SharePage(p.Addr, p.B)
+	}
+	m.StoreByte(0x1003, 9) // through the cached page: must copy first
+	m.XorRange(0x3000, []byte{0xff})
+	if n.LoadByte(0x1003) != 7 || n.LoadByte(0x3000) != 1 {
+		t.Fatal("a write after Freeze reached the frozen buffers")
+	}
+	if m.LoadByte(0x1003) != 9 || m.LoadByte(0x3000) != 0xfe {
+		t.Fatal("writes after Freeze lost")
+	}
+	if len(m.Freeze()) != 2 {
+		t.Fatal("the pages copied after the first Freeze are owned again")
+	}
+}
+
 func TestAddressSpaceValidity(t *testing.T) {
 	s := NewAddressSpace()
 	if s.Valid(0x1000) {

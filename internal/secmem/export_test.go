@@ -3,6 +3,7 @@ package secmem
 import (
 	"crypto/sha256"
 	"fmt"
+	"testing"
 )
 
 // Hooks for the external seal-identity, isolation and fetch-identity tests.
@@ -48,4 +49,27 @@ func SealedTablePages() map[string][32]byte {
 		t.mu.Unlock()
 	}
 	return out
+}
+
+// BypassLayoutCache makes every build seal without the sealed-layout cache
+// until t ends. The flag is process-wide: tests that count cache hits or
+// seal work must not run in parallel with t.
+func BypassLayoutCache(t testing.TB) {
+	bypassLayouts.Store(true)
+	t.Cleanup(func() { bypassLayouts.Store(false) })
+}
+
+// FlushLayoutCache empties the sealed-layout cache: the next build of every
+// layout misses.
+func FlushLayoutCache() {
+	layouts.mu.Lock()
+	defer layouts.mu.Unlock()
+	layouts.entries = nil
+}
+
+// LayoutCacheLen reports how many layouts the cache holds and its capacity.
+func LayoutCacheLen() (n, capacity int) {
+	layouts.mu.Lock()
+	defer layouts.mu.Unlock()
+	return len(layouts.entries), layoutCacheCap
 }

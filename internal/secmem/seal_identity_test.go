@@ -248,21 +248,35 @@ func TestSealIdentity(t *testing.T) {
 	}
 }
 
-// TestSecondBuildSealsOnlyImageLines pins the work a warm build does: with
-// every whole page of the layout in the sealed-page table — zero pages and
-// the image's data pages alike — building the same layout again seals
-// individually only the lines of pages that cannot be shared. Here those
-// are the mixed program's text line and its trailing value line, each on a
-// page the protected range covers only in part; the first data page, the
-// zero data pages, the stack and the probe window all come from the table.
+// TestSecondBuildSealsOnlyImageLines pins the work a warm build does. A
+// second build of the same program and layout is a sealed-layout cache hit
+// and seals nothing. A different program with the same layout misses that
+// cache; with every whole page of the layout in the sealed-page table —
+// zero pages and the image's data pages alike — it seals individually only
+// the lines of pages that cannot be shared. Here those are the variant's
+// text line and its trailing value line, each on a page the protected
+// range covers only in part; the first data page, the zero data pages, the
+// stack and the probe window all come from the table.
 func TestSecondBuildSealsOnlyImageLines(t *testing.T) {
+	secmem.FlushLayoutCache()
 	p := assemble(t, "mixed")
 	build(t, "flat", p, probe)
 	m, _ := build(t, "flat", p, probe)
-	textLines := (len(p.TextBytes()) + 63) / 64
+	if got := secmem.SealWork(m.Ctrl); got != 0 {
+		t.Fatalf("second build sealed %d lines, want 0 (a layout-cache hit)", got)
+	}
+	q, err := asm.Assemble(strings.Replace(testPrograms["mixed"], "addi r2, r2, 1", "addi r2, r2, 2", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(q.TextBytes()) != len(p.TextBytes()) || !bytes.Equal(q.Data, p.Data) || bytes.Equal(q.TextBytes(), p.TextBytes()) {
+		t.Fatal("the variant does not keep the layout and data of mixed with other text")
+	}
+	m, _ = build(t, "flat", q, probe)
+	textLines := (len(q.TextBytes()) + 63) / 64
 	want := textLines + 1
 	if got := secmem.SealWork(m.Ctrl); got != want {
-		t.Fatalf("second build sealed %d lines, want %d (text %d + tail 1)", got, want, textLines)
+		t.Fatalf("a build of the same layout with other text sealed %d lines, want %d (text %d + tail 1)", got, want, textLines)
 	}
 }
 

@@ -459,8 +459,11 @@ func (s Segment) end() uint64 { return s.Addr + uint64(len(s.Data)) }
 // copy-on-write pages; their counters are implied by range. Only the
 // remaining lines — pages partly outside the protected ranges, and pages
 // whose lines differ in how many segments touch them — are sealed one by
-// one. The controller keeps the segments to serve later fetches of lines
-// still as sealed, so their bytes must not change afterwards.
+// one. When a build earlier in the process sealed the same layout — same
+// geometry, ranges and image bytes — those lines, their counters and MACs
+// and the MAC tree are installed from the sealed-layout cache (layout.go)
+// instead. The controller keeps the segments to serve later fetches of
+// lines still as sealed, so their bytes must not change afterwards.
 func (c *Controller) FinishProtection(image ...Segment) error {
 	if c.sealed {
 		return fmt.Errorf("secmem: FinishProtection called twice (resealing would bump every counter)")
@@ -488,16 +491,8 @@ func (c *Controller) FinishProtection(image ...Segment) error {
 			tc.SetObserver(c.sink, obs.TrackTreeCache, func() uint64 { return c.obsNow })
 		}
 	}
-	table := sealTableFor(c)
-	for i := range c.protected {
-		if err := c.sealRange(&c.protected[i], image, table); err != nil {
-			return err
-		}
-	}
-	if c.cfg.UseTree {
-		if err := c.buildTree(); err != nil {
-			return err
-		}
+	if err := c.sealLayout(image); err != nil {
+		return err
 	}
 	if c.remap != nil {
 		c.remap.Init(c.nLeaves)
@@ -521,55 +516,109 @@ next:
 	return 0, true
 }
 
-// sealRange seals one protected range, a page at a time. A page wholly
-// inside the range whose lines all share one counter is shared from the
-// sealed-page table, its flat MACs copied into the MAC store in one piece,
-// and recorded in r.shared; the lines of any other page are sealed one by
-// one. Counters are implied per page (lines sealed individually at another
-// counter get their own).
-func (c *Controller) sealRange(r *addrRange, image []Segment, table *sealTable) error {
+// eachPage calls f for every page a protected range touches, in leaf
+// order, with the range and the part [lo, hi) of the page it covers.
+func (c *Controller) eachPage(f func(r *addrRange, pg, lo, hi uint64)) {
+	for i := range c.protected {
+		r := &c.protected[i]
+		for pg := r.firstPage(); pg < r.end; pg += mem.PageSize {
+			f(r, pg, max(pg, r.start), min(pg+mem.PageSize, r.end))
+		}
+	}
+}
+
+// macSpan returns where the flat MACs of the lines [lo, hi) of r start in
+// the MAC store, and their length in bytes.
+func (c *Controller) macSpan(r *addrRange, lo, hi uint64) (at uint64, n int) {
 	lb := uint64(c.cfg.LineB)
-	for pg := r.firstPage(); pg < r.end; pg += mem.PageSize {
-		lo, hi := max(pg, r.start), min(pg+mem.PageSize, r.end)
-		if table != nil && lo == pg && hi == pg+mem.PageSize {
-			if ctr, zero, ok := pageCounter(pg, lb, image); ok {
-				var plain []byte
-				if !zero {
-					if c.pageBuf == nil {
-						c.pageBuf = make([]byte, mem.PageSize)
-					}
-					imageLine(c.pageBuf, pg, image)
-					plain = c.pageBuf
-				}
-				sp := table.page(c, pg, ctr, plain)
-				c.mem.SharePage(pg, sp.ct)
-				c.enc.ImplyCounter(lo, hi, ctr)
-				if !c.cfg.UseTree {
-					c.mem.Write(c.macAddr(r.leaf0+int((pg-r.start)/lb)), sp.macs)
-				}
-				if r.shared == nil {
-					r.shared = make([]*sealedPage, (r.end-r.firstPage()+mem.PageSize-1)>>mem.PageShift)
-				}
-				r.shared[(pg-r.firstPage())>>mem.PageShift] = sp
-				continue
+	return c.macAddr(r.leaf0 + int((lo-r.start)/lb)), int((hi-lo)/lb) * c.cfg.MacB
+}
+
+// sharedAt returns the table entry installed at the page of r holding pg,
+// nil if its lines are sealed one by one.
+func (r *addrRange) sharedAt(pg uint64) *sealedPage {
+	if r.shared == nil {
+		return nil
+	}
+	return r.shared[(pg-r.firstPage())>>mem.PageShift]
+}
+
+// findTablePages records in each range's shared the sealed-page table
+// entry of every page wholly inside the range whose lines all share one
+// counter, sealing the entry first if no controller has. The table hashes
+// each such page's plaintext; nothing else does.
+func (c *Controller) findTablePages(image []Segment, table *sealTable) {
+	if table == nil {
+		return
+	}
+	c.eachPage(func(r *addrRange, pg, lo, hi uint64) {
+		if lo != pg || hi != pg+mem.PageSize {
+			return
+		}
+		ctr, zero, ok := pageCounter(pg, uint64(c.cfg.LineB), image)
+		if !ok {
+			return
+		}
+		var plain []byte
+		if !zero {
+			if c.pageBuf == nil {
+				c.pageBuf = make([]byte, mem.PageSize)
 			}
+			imageLine(c.pageBuf, pg, image)
+			plain = c.pageBuf
+		}
+		if r.shared == nil {
+			r.shared = make([]*sealedPage, (r.end-r.firstPage()+mem.PageSize-1)>>mem.PageShift)
+		}
+		r.shared[(pg-r.firstPage())>>mem.PageShift] = table.page(c, pg, ctr, plain)
+	})
+}
+
+// installTablePages installs every table page findTablePages found: its
+// ciphertext as a shared, copy-on-write page, its counter implied by range,
+// and its flat MACs copied into the MAC store in one piece.
+func (c *Controller) installTablePages() {
+	c.eachPage(func(r *addrRange, pg, lo, hi uint64) {
+		sp := r.sharedAt(pg)
+		if sp == nil {
+			return
+		}
+		c.mem.SharePage(pg, sp.ct)
+		c.enc.ImplyCounter(lo, hi, sp.ctr)
+		if !c.cfg.UseTree {
+			at, _ := c.macSpan(r, lo, hi)
+			c.mem.Write(at, sp.macs)
+		}
+	})
+}
+
+// sealLines seals one by one the lines of every protected page not
+// installed from the table, and builds the MAC tree, if enabled. Their
+// counters are implied per page (lines sealed at another counter get their
+// own).
+func (c *Controller) sealLines(image []Segment) error {
+	lb := uint64(c.cfg.LineB)
+	var err error
+	c.eachPage(func(r *addrRange, pg, lo, hi uint64) {
+		if err != nil || r.sharedAt(pg) != nil {
+			return
 		}
 		c.enc.ImplyCounter(lo, hi, 1)
-		for a := lo; a < hi; a += lb {
+		for a := lo; a < hi && err == nil; a += lb {
 			plain := c.ptBuf
 			ctr := 1 + imageLine(plain, a, image)
 			if ctr != 1 {
 				c.enc.SetCounter(a, ctr)
 			}
-			if err := c.enc.SealInto(c.ctBuf, a, ctr, plain); err != nil {
-				return err
-			}
-			if err := c.commitLine(a, c.ctBuf); err != nil {
-				return err
+			if err = c.enc.SealInto(c.ctBuf, a, ctr, plain); err == nil {
+				err = c.commitLine(a, c.ctBuf)
 			}
 		}
+	})
+	if err == nil && c.cfg.UseTree {
+		err = c.buildTree()
 	}
-	return nil
+	return err
 }
 
 // pageCounter reports whether every line of the page at pg is touched by

@@ -32,7 +32,9 @@ import (
 // the set of distinct protected pages ever sealed — the stack and probe
 // windows, zero data pages, and the whole data pages of the programs built
 // — times the few geometries in use, never with the number of machines
-// built from those programs.
+// built from those programs. The rest of a build, the pages sealed line by
+// line and the MAC tree, is kept by the sealed-layout cache (layout.go),
+// which holds at most layoutCacheCap layouts.
 
 // sealGeom is everything a sealed line depends on besides its address,
 // counter and plaintext.
@@ -70,16 +72,20 @@ var sealTables struct {
 	byGeom map[sealGeom]*sealTable
 }
 
-// sealTableFor returns the table for c's geometry, or nil when lines do not
-// tile pages (a line larger than a page), in which case every line is
-// sealed individually.
-func sealTableFor(c *Controller) *sealTable {
-	if c.cfg.LineB > mem.PageSize {
-		return nil
-	}
-	g := sealGeom{
+// geom returns c's seal geometry.
+func (c *Controller) geom() sealGeom {
+	return sealGeom{
 		encKey: string(c.encKey), macKey: string(c.macKey),
 		lineB: c.cfg.LineB, macB: c.cfg.MacB, macCoversCounter: c.cfg.MacCoversCounter,
+	}
+}
+
+// sealTableFor returns the table for geometry g, or nil when lines do not
+// tile pages (a line larger than a page), in which case every line is
+// sealed individually.
+func sealTableFor(g sealGeom) *sealTable {
+	if g.lineB > mem.PageSize {
+		return nil
 	}
 	sealTables.mu.Lock()
 	defer sealTables.mu.Unlock()
@@ -146,10 +152,7 @@ func (c *Controller) sealPage(pg, ctr uint64, plain []byte) (ct, macs []byte) {
 // table's. Such a line decrypts to its image plaintext and verifies,
 // because both are pure functions of inputs that equal the sealed ones.
 func (c *Controller) knownLine(a uint64, idx int, r *addrRange) bool {
-	if r.shared == nil {
-		return false
-	}
-	sp := r.shared[(a-r.firstPage())>>mem.PageShift]
+	sp := r.sharedAt(a)
 	if sp == nil {
 		return false
 	}

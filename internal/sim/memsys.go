@@ -269,19 +269,17 @@ func (ms *MemSystem) access(now uint64, addr uint64, isWrite, isInst bool, fetch
 	ms.shadow.Write(l2Line, res.Data)
 	ms.overlaySB(l2Line)
 
-	l, victim := ms.l2.Fill(addr, false)
+	l, victim, evicted := ms.l2.Fill(addr, false)
 	l.Aux = usable
 	if isWrite {
 		l.Dirty = true
 	}
 	slot := ms.l2.Slot(addr)
 	ms.l2Info[slot] = lineInfo{} // the victim's state leaves with it
-	if victim != nil {
-		if victim.Dirty {
-			ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
-			if _, err := ms.ctrl.WriteBack(now, victim.Addr, ms.wbBuf); err != nil {
-				return 0, lineInfo{}, err
-			}
+	if evicted && victim.Dirty {
+		ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
+		if _, err := ms.ctrl.WriteBack(now, victim.Addr, ms.wbBuf); err != nil {
+			return 0, lineInfo{}, err
 		}
 	}
 	info = lineInfo{authIdx: res.AuthIdx, authDone: res.AuthDone}
@@ -350,9 +348,9 @@ func (ms *MemSystem) prefetch(now uint64, lineAddr uint64, constraint uint64) {
 	}
 	ms.shadow.Write(lineAddr, res.Data)
 	ms.overlaySB(lineAddr)
-	l, victim := ms.l2.Fill(lineAddr, false)
+	l, victim, evicted := ms.l2.Fill(lineAddr, false)
 	l.Aux = usable
-	if victim != nil && victim.Dirty {
+	if evicted && victim.Dirty {
 		ms.shadow.ReadInto(ms.wbBuf, victim.Addr)
 		ms.ctrl.WriteBack(now, victim.Addr, ms.wbBuf)
 	}
@@ -362,9 +360,9 @@ func (ms *MemSystem) prefetch(now uint64, lineAddr uint64, constraint uint64) {
 
 // fillL1 installs an L1 line, pushing dirty victims down into the L2.
 func (ms *MemSystem) fillL1(l1 *cache.Cache, addr uint64, isWrite bool, readyAt uint64) {
-	l, victim := l1.Fill(addr, isWrite)
+	l, victim, evicted := l1.Fill(addr, isWrite)
 	l.Aux = readyAt
-	if victim != nil && victim.Dirty {
+	if evicted && victim.Dirty {
 		// Inclusive hierarchy: the victim's L2 line is normally resident.
 		if vl, hit := ms.l2.Access(victim.Addr, true); hit {
 			_ = vl
